@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcove.classifier import LinearClassifier, TrainConfig, predict_proba, zero_classifier
+from alcove.classifier import (
+    LinearClassifier,
+    TrainConfig,
+    mc_dropout_proba,
+    predict_proba,
+    zero_classifier,
+)
 from alcove.geometry import kmeans, kmeanspp_seed, nearest_to_centroids
 from alcove.strategies import (
     QuerySpec,
@@ -331,6 +337,27 @@ class TestAlfaMix:
         got = query_alfamix(feats, clf, labeled, labels, [0, 1], 1, eps_scale=1.0, seed=0)
         assert got.tolist() == [0]
 
+    def test_partial_flip_set_pads_flips_then_entropy(self):
+        # 1-d, boundary at z = 0, one class-0 anchor at +4: with eps = 0.2 a
+        # negative point moves to z + 0.2 * (4 - z), which crosses the boundary
+        # iff z > -1. So rows 0, 2, 4 flip and B = 5 needs two more. Rows 0
+        # and 2 coincide, so k-means over the flip set keeps one of them.
+        feats = np.array([[-0.5], [-9.0], [-0.5], [-3.0], [-0.6], [-2.5], [-7.0], [4.0]])
+        clf = LinearClassifier(weights=np.array([[1.0], [-1.0]]), bias=np.zeros(2))
+        unl, b, seed = np.arange(7), 5, 3
+        got = query_alfamix(feats, clf, [7], [0], unl, b, 0.2, seed)
+
+        cands = np.array([0, 2, 4])
+        cl = kmeans(feats[cands], len(cands), seed)
+        picked = cands[nearest_to_centroids(feats[cands], cl)].tolist()
+        assert len(picked) < len(cands)
+        # fallback: the flip set (one flip each) then the rest, both by
+        # entropy, which falls with |z|; ties to the smaller index
+        by_entropy = lambda idx: sorted(idx, key=lambda i: (abs(feats[i, 0]), i))
+        fallback = by_entropy([0, 2, 4]) + by_entropy([1, 3, 5, 6])
+        expected = picked + [i for i in fallback if i not in picked][: b - len(picked)]
+        assert got.tolist() == expected
+
 
 # ---------------------------------------------------------------------------
 # typicality / typiclust
@@ -567,6 +594,27 @@ class TestDropQuery:
         b = dropquery(feats, clf, np.arange(30), 6, seed=9)
         assert a.selected.tolist() == b.selected.tolist()
         assert a.candidate_fraction == b.candidate_fraction
+
+    def test_partial_candidate_set_pads_in_margin_order(self):
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(24, 3))
+        clf = LinearClassifier(weights=rng.normal(size=(3, 3)) * 3, bias=np.zeros(3))
+        unl, b, m, rho, seed = np.arange(24), 5, 3, 0.3, 7
+        res = dropquery(feats, clf, unl, b, m=m, rho=rho, seed=seed)
+
+        probs = predict_proba(clf, feats)
+        mc = mc_dropout_proba(clf, feats, m, rho, seed)
+        disagree = (np.argmax(mc, axis=2) != np.argmax(probs, axis=1)).sum(axis=0)
+        cands = unl[disagree > 0.5 * m]
+        assert 0 < len(cands) < b
+        assert res.candidate_fraction == len(cands) / len(unl)
+        cl = kmeans(feats[cands], len(cands), seed)
+        picked = cands[nearest_to_centroids(feats[cands], cl)].tolist()
+        # fallback: every unlabeled point by top-two gap, smallest first
+        top2 = np.sort(probs, axis=1)[:, -2:]
+        fallback = sorted(unl.tolist(), key=lambda i: (top2[i, 1] - top2[i, 0], i))
+        expected = picked + [i for i in fallback if i not in picked][: b - len(picked)]
+        assert res.selected.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
