@@ -72,33 +72,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cross_entropy_loss_and_grad(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    sample_weights: Optional[np.ndarray] = None,
-):
-    """Weighted-mean cross-entropy and its analytic gradients.
-
-    Weights are normalized by their sum, so all-ones weighting is exactly
-    the unweighted mean (single code path for both).
-    """
-    n = features.shape[0]
-    w = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
-    total = w.sum()
-    wn = w / total if total > 0 else w
-    probs = _softmax(features @ weights.T + bias)
-    eps = np.finfo(np.float64).tiny
-    loss = float(-(wn * np.log(np.maximum(probs[np.arange(n), labels], eps))).sum())
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
-    delta *= wn[:, None]
-    grad_w = delta.T @ features
-    grad_b = delta.sum(axis=0)
-    return loss, grad_w, grad_b
-
-
 def train(
     features: np.ndarray,
     labels: np.ndarray,
@@ -113,7 +86,8 @@ def train(
     ``labels`` simply receive no positive gradient. Deterministic in seed.
 
     The hot loop works on a parameter matrix with the bias folded in as a
-    constant-1 column; the math matches cross_entropy_loss_and_grad.
+    constant-1 column; the math matches the reference loss and gradient
+    ``cross_entropy_loss_and_grad`` in ``tests/oracles.py``.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -186,9 +160,10 @@ def mc_dropout_proba(
 ) -> np.ndarray:
     """Stacked probabilities under ``samples`` independent feature-dropout passes.
 
-    Masks come from one batched draw: default_rng(seed).random((samples, n, d))
-    compared against rho, with kept entries scaled by 1/(1 - rho). Returns an
-    array of shape (samples, n, C). rho=0 reproduces predict_proba exactly.
+    Pass s keeps the entries where the s-th (n, d) draw of default_rng(seed).random
+    is >= rho, scaled by 1/(1 - rho); drawing per pass gives the same stream as
+    one random((samples, n, d)) draw, at n*d memory. Returns an array of shape
+    (samples, n, C). rho=0 reproduces predict_proba exactly.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != clf.dim:
@@ -199,10 +174,9 @@ def mc_dropout_proba(
         base = predict_proba(clf, X)
         return np.broadcast_to(base, (samples,) + base.shape).copy()
     rng = np.random.default_rng(seed)
-    masks = rng.random((samples, X.shape[0], X.shape[1])) >= rho
     out = np.empty((samples, X.shape[0], clf.num_classes))
     for s in range(samples):
-        dropped = X * masks[s] / (1.0 - rho)
+        dropped = X * (rng.random(X.shape) >= rho) / (1.0 - rho)
         out[s] = _softmax(dropped @ clf.weights.T + clf.bias)
     return out
 

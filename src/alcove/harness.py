@@ -103,7 +103,6 @@ def _select_initial_pool(dataset, feats, train_sorted, config, seed, delta):
             b=b,
             seed=init_seed,
             delta=delta,
-            num_classes=dataset.num_classes,
         )
         return res.selected
     raise ValueError(f"unknown init mode {config.init!r} (expected random|centroid|own)")
@@ -141,24 +140,17 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
     labeled_y = init_labels[order]
 
     graph = None
-    prop = None
     if config.semisupervised:
         graph = build_knn_graph(feats[train_sorted], k=min(500, len(train_sorted) - 1))
-
-    def propagate():
-        y_onehot = np.zeros((len(train_sorted), dataset.num_classes))
-        pos = np.searchsorted(train_sorted, pool.labeled)
-        y_onehot[pos, labeled_y] = 1.0
-        return label_propagate(graph, y_onehot)
-
-    if config.semisupervised:
-        prop = propagate()
 
     record = RunRecord(strategy=config.strategy.strategy_id(), seed=seed)
     for t in range(1, config.iterations + 1):
         t0 = time.perf_counter()
         pool.iteration = t
         if config.semisupervised:
+            y_onehot = np.zeros((len(train_sorted), dataset.num_classes))
+            y_onehot[np.searchsorted(train_sorted, pool.labeled), labeled_y] = 1.0
+            prop = label_propagate(graph, y_onehot)
             train_x = feats[train_sorted]
             train_y = np.argmax(prop.pseudo_probs, axis=1)
             train_cfg = replace(config.train, sample_weights=prop.weights)
@@ -185,7 +177,6 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
             b=b,
             seed=derive_seed(seed, f"query/{t}"),
             delta=delta,
-            num_classes=dataset.num_classes,
         )
         new_labels = oracle.reveal(res.selected)
         record.rows.append(
@@ -203,8 +194,6 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
         labeled_y = np.concatenate([labeled_y, new_labels])[order]
         pool.labeled = merged[order]
         pool.unlabeled = np.setdiff1d(pool.unlabeled, res.selected, assume_unique=True)
-        if config.semisupervised:
-            prop = propagate()
 
     record.oracle_accesses = oracle.access_count
     return record

@@ -116,20 +116,3 @@ def win_matrix_to_json(wm: WinMatrix) -> str:
         "per_dataset": {name: mat.tolist() for name, mat in wm.per_dataset.items()},
     }
     return json.dumps(payload, indent=2)
-
-
-def aggregate_records(records):
-    """Mean/std of accuracy over seeds, keyed by (strategy, iteration).
-
-    Std uses the 1/n population normalization, matching the significance
-    machinery above.
-    """
-    groups = {}
-    for rec in records:
-        for row in rec.rows:
-            groups.setdefault((rec.strategy, row.iteration), []).append(row.accuracy)
-    out = {}
-    for key, vals in groups.items():
-        arr = np.asarray(vals, dtype=np.float64)
-        out[key] = (float(arr.mean()), float(arr.std()))
-    return out

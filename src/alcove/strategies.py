@@ -7,7 +7,7 @@ index. Probability work happens in float64.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -21,24 +21,6 @@ from .geometry import (
     pairwise_sq_dist,
 )
 from .rng import derive_rng, derive_seed
-
-STRATEGY_KINDS = (
-    "random",
-    "uncertainty",
-    "entropy",
-    "margins",
-    "bald",
-    "powerbald",
-    "coreset",
-    "badge",
-    "alfamix",
-    "typiclust",
-    "probcover",
-    "dropquery",
-)
-
-SCORE_KINDS = ("uncertainty", "entropy", "margins", "bald")
-
 
 class StrategyUnavailable(RuntimeError):
     """The strategy cannot run in the current pool state (e.g. no anchors yet)."""
@@ -64,12 +46,14 @@ class QuerySpec:
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+            raise ValueError(
+                f"unknown strategy kind {self.kind!r}; choose from {', '.join(STRATEGY_KINDS)}"
+            )
 
     def strategy_id(self) -> str:
         """Record identifier; diversification variants get their own id."""
         sid = self.kind
-        if self.diversify and self.kind in SCORE_KINDS:
+        if self.diversify and _STRATEGIES[self.kind] is _ranked:
             sid += "_divdrop" if self.inference_dropout else "_div"
         if self.kind == "dropquery" and self.dq_literal:
             sid += "_literal"
@@ -117,17 +101,32 @@ def score_bald(mc_probs: np.ndarray) -> np.ndarray:
     return np.maximum(entropy_mean - mean_entropy, 0.0)
 
 
-def select_topb(scores: np.ndarray, unlabeled: np.ndarray, b: int) -> np.ndarray:
-    """The b highest-scoring unlabeled indices; ties to the smaller index."""
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
-    order = np.lexsort((unlabeled, -np.asarray(scores, dtype=np.float64)))
-    return unlabeled[order[: min(b, len(unlabeled))]]
-
-
 def _score_order(scores: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Indices sorted by descending score, ascending index on ties."""
     indices = np.asarray(indices, dtype=np.int64)
     return indices[np.lexsort((indices, -np.asarray(scores, dtype=np.float64)))]
+
+
+def select_topb(scores: np.ndarray, unlabeled: np.ndarray, b: int) -> np.ndarray:
+    """The b highest-scoring unlabeled indices; ties to the smaller index."""
+    return _score_order(scores, unlabeled)[:b]
+
+
+def _cluster_pick(
+    features: np.ndarray, candidates: np.ndarray, fallback: np.ndarray, b: int, seed: int
+) -> np.ndarray:
+    """The candidate nearest each centroid of a min(b, |candidates|)-means over
+    the candidates (kmeans seeded with ``seed``), padded to b from ``fallback``
+    in order, skipping indices already picked."""
+    picked = np.empty(0, dtype=np.int64)
+    if len(candidates):
+        cl = kmeans(features[candidates], min(b, len(candidates)), seed)
+        picked = candidates[nearest_to_centroids(features[candidates], cl)]
+    if len(picked) < b:
+        chosen = set(picked.tolist())
+        pad = [i for i in fallback.tolist() if i not in chosen][: b - len(picked)]
+        picked = np.concatenate([picked, np.asarray(pad, dtype=np.int64)])
+    return picked
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +147,14 @@ def diversify(
     through the public geometry API. Shortfalls are padded from the shortlist
     in score order.
     """
+    if k_multiplier < 1:
+        raise ValueError(f"k_multiplier must be >= 1, got {k_multiplier}")
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     b_eff = min(b, len(unlabeled))
     if b_eff == 0:
         return np.empty(0, dtype=np.int64)
-    ranked = _score_order(scores, unlabeled)
-    shortlist = ranked[: min(k_multiplier * b_eff, len(ranked))]
-    cl = kmeans(features[shortlist], min(b_eff, len(shortlist)), seed)
-    picked = shortlist[nearest_to_centroids(features[shortlist], cl)]
-    if len(picked) < b_eff:
-        chosen = set(picked.tolist())
-        pad = [i for i in shortlist.tolist() if i not in chosen][: b_eff - len(picked)]
-        picked = np.concatenate([picked, np.asarray(pad, dtype=np.int64)])
-    return picked
+    shortlist = _score_order(scores, unlabeled)[: k_multiplier * b_eff]
+    return _cluster_pick(features, shortlist, shortlist, b_eff, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +202,6 @@ def query_coreset(features: np.ndarray, labeled, unlabeled, b: int) -> np.ndarra
     b_eff = min(b, len(unlabeled))
     picks = greedy_k_center(features[pool], existing, b_eff)
     return pool[picks]
-
-
-def badge_sq_dist(z_i, p_i, z_j, p_j) -> float:
-    """Squared Frobenius distance between rank-one gradient embeddings z p^T.
-
-    Evaluated through inner products of the factor vectors only, so no
-    (C x d)-sized embedding is ever materialized.
-    """
-    z_i = np.asarray(z_i, dtype=np.float64)
-    p_i = np.asarray(p_i, dtype=np.float64)
-    z_j = np.asarray(z_j, dtype=np.float64)
-    p_j = np.asarray(p_j, dtype=np.float64)
-    val = (
-        (z_i @ z_i) * (p_i @ p_i)
-        + (z_j @ z_j) * (p_j @ p_j)
-        - 2.0 * (z_i @ z_j) * (p_i @ p_j)
-    )
-    return max(float(val), 0.0)
 
 
 def query_badge(
@@ -308,38 +284,9 @@ def query_alfamix(
     entropy = score_entropy(probs)
     cand_mask = flips > 0
     cands = unlabeled[cand_mask]
-    if cands.size:
-        cl = kmeans(X[cands], min(b_eff, len(cands)), seed)
-        picked = cands[nearest_to_centroids(X[cands], cl)]
-    else:
-        picked = np.empty(0, dtype=np.int64)
-
-    if len(picked) < b_eff:
-        chosen = set(picked.tolist())
-        cand_order = cands[
-            np.lexsort((cands, -entropy[cand_mask], -flips[cand_mask].astype(np.float64)))
-        ]
-        rest_mask = ~cand_mask
-        rest_order = _score_order(entropy[rest_mask], unlabeled[rest_mask])
-        pad = [i for i in np.concatenate([cand_order, rest_order]).tolist() if i not in chosen]
-        picked = np.concatenate(
-            [picked, np.asarray(pad[: b_eff - len(picked)], dtype=np.int64)]
-        )
-    return picked
-
-
-def typicality(features: np.ndarray, idx: int, k: int = 20) -> float:
-    """Inverse mean distance to the k nearest neighbors (clamped near zero).
-
-    A point with no neighbors to average over (k < 1) has typicality 0.
-    """
-    if k < 1:
-        return 0.0
-    X = np.asarray(features, dtype=np.float64)
-    d2 = pairwise_sq_dist(X[idx : idx + 1], X)[0]
-    d2[idx] = np.inf
-    nearest = np.sort(np.sqrt(d2), kind="stable")[:k]
-    return float(1.0 / (nearest.mean() + 1e-12))
+    cand_order = cands[np.lexsort((cands, -entropy[cand_mask], -flips[cand_mask].astype(np.float64)))]
+    rest_order = _score_order(entropy[~cand_mask], unlabeled[~cand_mask])
+    return _cluster_pick(X, cands, np.concatenate([cand_order, rest_order]), b_eff, seed)
 
 
 def _typicality_all(features: np.ndarray, k: int) -> np.ndarray:
@@ -484,8 +431,8 @@ def dropquery(
 
     Candidates are clustered into B groups (kmeans seeded with ``seed``) and
     the member nearest each centroid is selected. An empty candidate set falls
-    back to margin-scored diversified selection; a partial one is topped up
-    with the highest-margin-uncertainty leftovers.
+    back to the top 50*B by margin uncertainty, clustered the same way; a
+    partial one is topped up with the highest-margin-uncertainty leftovers.
     """
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     b_eff = min(b, len(unlabeled))
@@ -504,19 +451,13 @@ def dropquery(
     cands = unlabeled[cand_mask]
     fraction = float(len(cands) / len(unlabeled))
 
-    margins = score_margin(base_probs)
+    # an empty candidate set falls back to the margin top 50*B; padding from
+    # the whole margin order then equals padding from that prefix, since
+    # fewer than B of its members are picked
+    margin_order = _score_order(score_margin(base_probs), unlabeled)
     if cands.size == 0:
-        selected = diversify(margins, X, unlabeled, b_eff, k_multiplier=50, seed=seed)
-        return QueryResult(selected, candidate_fraction=fraction)
-
-    cl = kmeans(X[cands], min(b_eff, len(cands)), seed)
-    selected = cands[nearest_to_centroids(X[cands], cl)]
-    if len(selected) < b_eff:
-        chosen = set(selected.tolist())
-        pad = [i for i in _score_order(margins, unlabeled).tolist() if i not in chosen]
-        selected = np.concatenate(
-            [selected, np.asarray(pad[: b_eff - len(selected)], dtype=np.int64)]
-        )
+        cands = margin_order[: 50 * b_eff]
+    selected = _cluster_pick(X, cands, margin_order, b_eff, seed)
     return QueryResult(selected, candidate_fraction=fraction)
 
 
@@ -524,11 +465,80 @@ def dropquery(
 # dispatcher
 
 
-def _probs_for_scoring(spec: QuerySpec, clf: LinearClassifier, U: np.ndarray, seed: int) -> np.ndarray:
+class _Round(NamedTuple):
+    """One acquisition round's inputs, shared by every strategy table entry."""
+
+    features: np.ndarray
+    clf: LinearClassifier
+    labeled: np.ndarray
+    labeled_labels: np.ndarray
+    unlabeled: np.ndarray
+    b: int
+    seed: int
+    delta: Optional[float]
+
+
+def _scores(spec: QuerySpec, r: _Round) -> np.ndarray:
+    """Acquisition scores of the unlabeled points, higher = query first."""
+    U = r.features[r.unlabeled]
+    rho = r.clf.train_config.dropout_rho
+    if spec.kind in ("bald", "powerbald"):
+        return score_bald(mc_dropout_proba(r.clf, U, spec.mc_samples, rho, derive_seed(r.seed, "mc")))
     if spec.diversify and spec.inference_dropout:
-        rho = clf.train_config.dropout_rho
-        return mc_dropout_proba(clf, U, 1, rho, derive_seed(seed, "inference-dropout"))[0]
-    return predict_proba(clf, U)
+        probs = mc_dropout_proba(r.clf, U, 1, rho, derive_seed(r.seed, "inference-dropout"))[0]
+    else:
+        probs = predict_proba(r.clf, U)
+    scorer = {"uncertainty": score_uncertainty, "entropy": score_entropy, "margins": score_margin}
+    return scorer[spec.kind](probs)
+
+
+def _ranked(spec: QuerySpec, r: _Round) -> np.ndarray:
+    """Score-ranked kinds: the top B, or the diversified top K*B."""
+    scores = _scores(spec, r)
+    if spec.diversify:
+        return diversify(
+            scores, r.features, r.unlabeled, r.b, spec.diversify_k, derive_seed(r.seed, "diversify")
+        )
+    return select_topb(scores, r.unlabeled, r.b)
+
+
+def _probcover(spec: QuerySpec, r: _Round) -> np.ndarray:
+    if r.delta is None:
+        raise ValueError(
+            "probcover needs delta: pass estimate_delta(...) of the train rows being labeled"
+        )
+    return query_probcover(r.features, r.labeled, r.unlabeled, r.b, r.delta)
+
+
+# kind -> fn(spec, round) returning the selected indices or a QueryResult
+_STRATEGIES = {
+    "random": lambda spec, r: query_random(r.unlabeled, r.b, r.seed),
+    "uncertainty": _ranked,
+    "entropy": _ranked,
+    "margins": _ranked,
+    "bald": _ranked,
+    "powerbald": lambda spec, r: query_powerbald(
+        _scores(spec, r), r.unlabeled, r.b, spec.power_beta, derive_rng(r.seed, "power")
+    ),
+    "coreset": lambda spec, r: query_coreset(r.features, r.labeled, r.unlabeled, r.b),
+    "badge": lambda spec, r: query_badge(
+        r.features, r.clf, r.unlabeled, r.b, derive_rng(r.seed, "badge")
+    ),
+    "alfamix": lambda spec, r: query_alfamix(
+        r.features, r.clf, r.labeled, r.labeled_labels, r.unlabeled, r.b,
+        spec.alfamix_eps_scale, r.seed,
+    ),
+    "typiclust": lambda spec, r: query_typiclust(
+        r.features, r.labeled, r.unlabeled, r.b,
+        spec.typiclust_max_clusters, spec.typiclust_knn, r.seed,
+    ),
+    "probcover": _probcover,
+    "dropquery": lambda spec, r: dropquery(
+        r.features, r.clf, r.unlabeled, r.b, spec.dq_m, spec.dq_rho, r.seed, spec.dq_literal
+    ),
+}
+
+STRATEGY_KINDS = tuple(_STRATEGIES)
 
 
 def query(
@@ -541,74 +551,17 @@ def query(
     b: int,
     seed: int,
     delta: Optional[float] = None,
-    num_classes: Optional[int] = None,
 ) -> QueryResult:
-    """Run one acquisition round for the given spec. Returns min(B, |unlabeled|) indices."""
+    """Run one acquisition round for the given spec. Returns min(B, |unlabeled|) indices.
+
+    probcover needs ``delta``, from estimate_delta over the train rows.
+    """
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     b_eff = min(b, len(unlabeled))
     if b_eff == 0:
         return QueryResult(np.empty(0, dtype=np.int64))
-    X = np.asarray(features, dtype=np.float64)
-
-    if spec.kind == "random":
-        return QueryResult(query_random(unlabeled, b_eff, seed))
-
-    if spec.kind in ("uncertainty", "entropy", "margins"):
-        probs = _probs_for_scoring(spec, clf, X[unlabeled], seed)
-        scorer = {
-            "uncertainty": score_uncertainty,
-            "entropy": score_entropy,
-            "margins": score_margin,
-        }[spec.kind]
-        scores = scorer(probs)
-        if spec.diversify:
-            return QueryResult(
-                diversify(scores, X, unlabeled, b_eff, spec.diversify_k, derive_seed(seed, "diversify"))
-            )
-        return QueryResult(select_topb(scores, unlabeled, b_eff))
-
-    if spec.kind in ("bald", "powerbald"):
-        rho = clf.train_config.dropout_rho
-        mc = mc_dropout_proba(clf, X[unlabeled], spec.mc_samples, rho, derive_seed(seed, "mc"))
-        scores = score_bald(mc)
-        if spec.kind == "powerbald":
-            return QueryResult(
-                query_powerbald(scores, unlabeled, b_eff, spec.power_beta, derive_rng(seed, "power"))
-            )
-        if spec.diversify:
-            return QueryResult(
-                diversify(scores, X, unlabeled, b_eff, spec.diversify_k, derive_seed(seed, "diversify"))
-            )
-        return QueryResult(select_topb(scores, unlabeled, b_eff))
-
-    if spec.kind == "coreset":
-        return QueryResult(query_coreset(X, labeled, unlabeled, b_eff))
-
-    if spec.kind == "badge":
-        return QueryResult(query_badge(X, clf, unlabeled, b_eff, derive_rng(seed, "badge")))
-
-    if spec.kind == "alfamix":
-        return QueryResult(
-            query_alfamix(
-                X, clf, labeled, labeled_labels, unlabeled, b_eff, spec.alfamix_eps_scale, seed
-            )
-        )
-
-    if spec.kind == "typiclust":
-        return QueryResult(
-            query_typiclust(
-                X, labeled, unlabeled, b_eff, spec.typiclust_max_clusters, spec.typiclust_knn, seed
-            )
-        )
-
-    if spec.kind == "probcover":
-        if delta is None:
-            if num_classes is None:
-                raise ValueError("probcover needs either a precomputed delta or num_classes")
-            delta = estimate_delta(X, num_classes, spec.probcover_purity, derive_seed(seed, "delta"))
-        return QueryResult(query_probcover(X, labeled, unlabeled, b_eff, delta))
-
-    if spec.kind == "dropquery":
-        return dropquery(X, clf, unlabeled, b_eff, spec.dq_m, spec.dq_rho, seed, spec.dq_literal)
-
-    raise ValueError(f"unknown strategy kind {spec.kind!r}")
+    r = _Round(
+        np.asarray(features, dtype=np.float64), clf, labeled, labeled_labels, unlabeled, b_eff, seed, delta
+    )
+    out = _STRATEGIES[spec.kind](spec, r)
+    return out if isinstance(out, QueryResult) else QueryResult(out)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from alcove.classifier import LinearClassifier, cross_entropy_loss_and_grad, predict_proba
+from alcove.classifier import LinearClassifier, predict_proba
 from alcove.dataset_io import generate_synthetic
 from alcove.geometry import greedy_k_center, kmeanspp_seed
 from alcove.harness import RunConfig, run_al, run_bench
@@ -22,7 +22,6 @@ from alcove.stats import T_CRITICAL, paired_t_stat, win_fraction
 from alcove.strategies import (
     STRATEGY_KINDS,
     QuerySpec,
-    badge_sq_dist,
     dropquery,
     query_badge,
     score_bald,
@@ -31,6 +30,8 @@ from alcove.strategies import (
     score_uncertainty,
     select_topb,
 )
+
+from oracles import badge_sq_dist, cross_entropy_loss_and_grad
 
 DATASET_FAMILY = (1, 2, 3)
 RUN_SEEDS = (1, 10, 100, 1000, 10000)

@@ -6,13 +6,14 @@ import pytest
 from alcove.classifier import (
     LinearClassifier,
     TrainConfig,
-    cross_entropy_loss_and_grad,
     evaluate,
     mc_dropout_proba,
     predict_proba,
     train,
     zero_classifier,
 )
+
+from oracles import cross_entropy_loss_and_grad
 from alcove.dataset_io import EmbeddingDataset, generate_synthetic
 
 

@@ -3,7 +3,9 @@ import pytest
 
 from alcove.classifier import TrainConfig
 from alcove.dataset_io import EmbeddingDataset, generate_synthetic
+from alcove import harness
 from alcove.harness import LabelOracle, RunConfig, run_al, run_bench
+from alcove.semisup import label_propagate
 from alcove.strategies import QuerySpec, StrategyUnavailable
 
 
@@ -120,6 +122,21 @@ class TestRunAl:
         a = run_al(ds, cfg, seed=5)
         b = run_al(ds, cfg, seed=5)
         assert [r.accuracy for r in a.rows] == [r.accuracy for r in b.rows]
+
+    def test_semisupervised_propagates_once_per_round(self, monkeypatch):
+        ds = small_dataset()
+        cfg = RunConfig(
+            strategy=QuerySpec("margins"), iterations=2, train=fast_train(), semisupervised=True
+        )
+        labeled_counts = []
+
+        def counting(graph, labels_onehot):
+            labeled_counts.append(int(labels_onehot.sum()))
+            return label_propagate(graph, labels_onehot)
+
+        monkeypatch.setattr(harness, "label_propagate", counting)
+        run_al(ds, cfg, seed=5)
+        assert labeled_counts == [4, 8]  # each round's labels, none after the last reveal
 
     def test_unknown_init_rejected(self):
         ds = small_dataset()

@@ -7,13 +7,14 @@ import scipy.stats
 from alcove.harness import IterationRow, RunRecord
 from alcove.stats import (
     T_CRITICAL,
-    aggregate_records,
     paired_t_stat,
     win_fraction,
     win_matrix,
     win_matrix_to_csv,
     win_matrix_to_json,
 )
+
+from oracles import aggregate_records
 
 
 def make_records(strategy, accuracies_by_seed):

@@ -16,7 +16,6 @@ from alcove.geometry import kmeans, kmeanspp_seed, nearest_to_centroids
 from alcove.strategies import (
     QuerySpec,
     StrategyUnavailable,
-    badge_sq_dist,
     diversify,
     dropquery,
     estimate_delta,
@@ -32,8 +31,9 @@ from alcove.strategies import (
     score_margin,
     score_uncertainty,
     select_topb,
-    typicality,
 )
+
+from oracles import badge_sq_dist, typicality
 
 
 def random_clf(rng, c, d):
@@ -165,6 +165,10 @@ class TestDiversify:
         expected = shortlist[nearest_to_centroids(feats[shortlist], cl)]
         assert got.tolist() == expected.tolist()
         assert diversify(scores, feats, unl, b, k_mult, seed).tolist() == got.tolist()
+
+    def test_empty_shortlist_rejected(self):
+        with pytest.raises(ValueError, match="k_multiplier"):
+            diversify(np.zeros(4), np.zeros((4, 2)), np.arange(4), 2, k_multiplier=0)
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +652,10 @@ def test_every_strategy_is_budget_exact_and_deterministic(kind):
     labeled_labels = np.array([0, 1, 2])
     unlabeled = np.array([i for i in range(40) if i not in labeled.tolist()])
     spec = QuerySpec(kind=kind)
+    delta = estimate_delta(feats, 3)
     for b in (4, len(unlabeled), len(unlabeled) + 10):
-        res = query(spec, feats, clf, labeled, labeled_labels, unlabeled, b, seed=5, num_classes=3)
-        again = query(spec, feats, clf, labeled, labeled_labels, unlabeled, b, seed=5, num_classes=3)
+        res = query(spec, feats, clf, labeled, labeled_labels, unlabeled, b, seed=5, delta=delta)
+        again = query(spec, feats, clf, labeled, labeled_labels, unlabeled, b, seed=5, delta=delta)
         assert res.selected.tolist() == again.selected.tolist()
         assert len(res.selected) == min(b, len(unlabeled))
         assert len(set(res.selected.tolist())) == len(res.selected)
@@ -667,10 +672,18 @@ def test_diversified_variants_also_budget_exact():
     for kind in ("uncertainty", "entropy", "margins", "bald"):
         for drop in (False, True):
             spec = QuerySpec(kind=kind, diversify=True, inference_dropout=drop)
-            res = query(spec, feats, clf, [], [], unlabeled, 5, seed=1, num_classes=3)
+            res = query(spec, feats, clf, [], [], unlabeled, 5, seed=1)
             assert len(res.selected) == 5
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="choose from random, uncertainty, .*, dropquery"):
         QuerySpec(kind="mystery")
+
+
+def test_probcover_without_delta_names_estimate_delta():
+    rng = np.random.default_rng(28)
+    feats = rng.normal(size=(12, 2))
+    clf = random_clf(rng, 2, 2)
+    with pytest.raises(ValueError, match="estimate_delta"):
+        query(QuerySpec(kind="probcover"), feats, clf, [0], [0], np.arange(1, 12), 3, seed=0)
