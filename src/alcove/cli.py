@@ -9,7 +9,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .classifier import TrainConfig
@@ -27,24 +27,14 @@ def _parse_seeds(text: str):
 
 
 def _build_spec(kind: str, args) -> QuerySpec:
+    # every QuerySpec field but kind is the dest of one query flag
     return QuerySpec(
-        kind=kind,
-        diversify=args.diversify,
-        inference_dropout=args.inference_dropout,
-        mc_samples=args.mc,
-        dq_m=args.m,
-        dq_rho=args.rho,
-        dq_literal=args.dq_literal,
-        power_beta=args.beta,
-        alfamix_eps_scale=args.eps_scale,
-        typiclust_max_clusters=args.max_clusters,
-        typiclust_knn=args.knn,
-        probcover_purity=args.purity,
+        kind, **{f.name: getattr(args, f.name) for f in fields(QuerySpec) if f.name != "kind"}
     )
 
 
 def _build_config(args, spec: QuerySpec) -> RunConfig:
-    train_cfg = TrainConfig(dropout_rho=args.rho, epochs=args.epochs)
+    train_cfg = TrainConfig(dropout_rho=args.dropout_rho, epochs=args.epochs)
     return RunConfig(
         strategy=spec,
         iterations=args.iterations,
@@ -185,15 +175,24 @@ def _add_query_flags(p: argparse.ArgumentParser):
     p.add_argument("--budget", type=int, default=None,
                    help="labels per iteration (default: number of classes)")
     p.add_argument("--init", choices=["random", "centroid", "own"], default="random")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--m", type=int, default=3, help="dropout votes per point (dropquery)")
-    p.add_argument("--rho", type=float, default=0.75, help="feature dropout ratio")
-    p.add_argument("--mc", type=int, default=20, help="MC dropout samples (BALD)")
-    p.add_argument("--beta", type=float, default=1.0, help="powerbald exponent")
-    p.add_argument("--purity", type=float, default=0.95, help="probcover purity threshold")
-    p.add_argument("--eps-scale", type=float, default=0.2, dest="eps_scale")
-    p.add_argument("--max-clusters", type=int, default=500, dest="max_clusters")
-    p.add_argument("--knn", type=int, default=20, help="typicality neighbor count")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--m", type=int, default=QuerySpec.dq_m, dest="dq_m",
+                   help="dropout votes per point (dropquery)")
+    p.add_argument("--rho", type=float, default=TrainConfig.dropout_rho, dest="dropout_rho",
+                   help="feature dropout ratio of training, bald/powerbald, inference "
+                        "dropout and dropquery")
+    p.add_argument("--mc", type=int, default=QuerySpec.mc_samples, dest="mc_samples",
+                   help="MC dropout samples (BALD)")
+    p.add_argument("--beta", type=float, default=QuerySpec.power_beta, dest="power_beta",
+                   help="powerbald exponent")
+    p.add_argument("--purity", type=float, default=QuerySpec.probcover_purity,
+                   dest="probcover_purity", help="probcover purity threshold")
+    p.add_argument("--eps-scale", type=float, default=QuerySpec.alfamix_eps_scale,
+                   dest="alfamix_eps_scale")
+    p.add_argument("--max-clusters", type=int, default=QuerySpec.typiclust_max_clusters,
+                   dest="typiclust_max_clusters")
+    p.add_argument("--knn", type=int, default=QuerySpec.typiclust_knn, dest="typiclust_knn",
+                   help="typicality neighbor count")
     p.add_argument("--diversify", action="store_true",
                    help="cluster the top-K*B shortlist instead of plain top-B")
     p.add_argument("--inference-dropout", action="store_true", dest="inference_dropout",

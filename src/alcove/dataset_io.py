@@ -73,19 +73,6 @@ class EmbeddingDataset:
             raise ValueError(f"classes absent from the train split: {sorted(missing)}")
 
 
-@dataclass
-class PoolState:
-    """Partition of the train split into labeled and unlabeled index sets."""
-
-    labeled: np.ndarray
-    unlabeled: np.ndarray
-    iteration: int = 0
-
-    def __post_init__(self):
-        self.labeled = np.asarray(self.labeled, dtype=np.int64)
-        self.unlabeled = np.asarray(self.unlabeled, dtype=np.int64)
-
-
 def load_dataset(manifest_path) -> EmbeddingDataset:
     """Load a dataset from its manifest, validating sizes and invariants."""
     manifest_path = Path(manifest_path)

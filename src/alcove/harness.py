@@ -7,23 +7,20 @@ perturbs another's draws. Labels stay hidden behind an auditing oracle until
 explicitly queried.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .classifier import TrainConfig, evaluate, train, zero_classifier
-from .dataset_io import EmbeddingDataset, PoolState
+from .dataset_io import EmbeddingDataset
 from .initpool import centroid_init, random_init
 from .rng import derive_seed
 from .semisup import build_knn_graph, label_propagate
 from .strategies import QuerySpec, estimate_delta, query
 
 DEFAULT_SEEDS = (1, 10, 100, 1000, 10000)
-THREADS_ENV = "ALCOVE_THREADS"
 
 
 @dataclass
@@ -132,38 +129,34 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
     initial = _select_initial_pool(dataset, feats, train_sorted, config, seed, delta)
     init_labels = oracle.reveal(initial)
     order = np.argsort(initial, kind="stable")
-    pool = PoolState(
-        labeled=np.asarray(initial, dtype=np.int64)[order],
-        unlabeled=np.setdiff1d(train_sorted, initial, assume_unique=True),
-        iteration=0,
-    )
+    labeled = np.asarray(initial, dtype=np.int64)[order]
     labeled_y = init_labels[order]
+    unlabeled = np.setdiff1d(train_sorted, initial, assume_unique=True)
 
-    graph = None
     if config.semisupervised:
-        graph = build_knn_graph(feats[train_sorted], k=min(500, len(train_sorted) - 1))
+        pool_x = feats[train_sorted]
+        graph = build_knn_graph(pool_x)
 
     record = RunRecord(strategy=config.strategy.strategy_id(), seed=seed)
     for t in range(1, config.iterations + 1):
         t0 = time.perf_counter()
-        pool.iteration = t
         if config.semisupervised:
             y_onehot = np.zeros((len(train_sorted), dataset.num_classes))
-            y_onehot[np.searchsorted(train_sorted, pool.labeled), labeled_y] = 1.0
+            y_onehot[np.searchsorted(train_sorted, labeled), labeled_y] = 1.0
             prop = label_propagate(graph, y_onehot)
-            train_x = feats[train_sorted]
+            train_x = pool_x
             train_y = np.argmax(prop.pseudo_probs, axis=1)
             train_cfg = replace(config.train, sample_weights=prop.weights)
         else:
-            train_x = feats[pool.labeled]
+            train_x = feats[labeled]
             train_y = labeled_y
             train_cfg = replace(config.train, sample_weights=None)
         clf = train(train_x, train_y, dataset.num_classes, train_cfg, derive_seed(seed, f"train/{t}"))
         acc = evaluate(clf, dataset)
 
-        if len(pool.unlabeled) == 0:
+        if len(unlabeled) == 0:
             record.rows.append(
-                IterationRow(t, len(pool.labeled), acc, wall_time=time.perf_counter() - t0, truncated=True)
+                IterationRow(t, len(labeled), acc, wall_time=time.perf_counter() - t0, truncated=True)
             )
             break
 
@@ -171,9 +164,9 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
             config.strategy,
             feats,
             clf,
-            labeled=pool.labeled,
+            labeled=labeled,
             labeled_labels=labeled_y,
-            unlabeled=pool.unlabeled,
+            unlabeled=unlabeled,
             b=b,
             seed=derive_seed(seed, f"query/{t}"),
             delta=delta,
@@ -182,68 +175,35 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
         record.rows.append(
             IterationRow(
                 t,
-                len(pool.labeled),
+                len(labeled),
                 acc,
                 candidate_fraction=res.candidate_fraction,
                 wall_time=time.perf_counter() - t0,
             )
         )
 
-        merged = np.concatenate([pool.labeled, res.selected])
+        merged = np.concatenate([labeled, res.selected])
         order = np.argsort(merged, kind="stable")
         labeled_y = np.concatenate([labeled_y, new_labels])[order]
-        pool.labeled = merged[order]
-        pool.unlabeled = np.setdiff1d(pool.unlabeled, res.selected, assume_unique=True)
+        labeled = merged[order]
+        unlabeled = np.setdiff1d(unlabeled, res.selected, assume_unique=True)
 
     record.oracle_accesses = oracle.access_count
     return record
 
 
-def _worker_count() -> int:
-    # default sequential: the cells are Python-loop heavy, so GIL contention
-    # makes threads a net loss unless the caller knows better
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        return max(1, int(raw))
-    return 1
-
-
 def run_bench(dataset: EmbeddingDataset, strategies, config: RunConfig) -> BenchResult:
-    """Run the full strategies x seeds grid.
+    """Run the full strategies x seeds grid, one cell after another.
 
-    Cells execute independently (worker count capped by ALCOVE_THREADS); a
-    failing cell is reported without aborting the rest. Records come back
-    canonically sorted by (strategy, seed) regardless of execution order.
+    A failing cell is reported without aborting the rest. Records come back
+    sorted by (strategy, seed).
     """
-    cells = [(spec, s) for spec in strategies for s in config.seeds]
     result = BenchResult()
-
-    def run_cell(cell):
-        spec, s = cell
-        return run_al(dataset, replace(config, strategy=spec), s)
-
-    workers = min(_worker_count(), max(1, len(cells)))
-    if workers == 1:
-        outcomes = []
-        for cell in cells:
+    for spec in strategies:
+        for s in config.seeds:
             try:
-                outcomes.append((cell, run_cell(cell), None))
+                result.records.append(run_al(dataset, replace(config, strategy=spec), s))
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                outcomes.append((cell, None, exc))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(cell, pool.submit(run_cell, cell)) for cell in cells]
-            outcomes = []
-            for cell, fut in futures:
-                try:
-                    outcomes.append((cell, fut.result(), None))
-                except Exception as exc:  # noqa: BLE001
-                    outcomes.append((cell, None, exc))
-
-    for (spec, s), rec, exc in outcomes:
-        if exc is None:
-            result.records.append(rec)
-        else:
-            result.failures.append((spec.strategy_id(), s, f"{type(exc).__name__}: {exc}"))
+                result.failures.append((spec.strategy_id(), s, f"{type(exc).__name__}: {exc}"))
     result.records.sort(key=lambda r: (r.strategy, r.seed))
     return result

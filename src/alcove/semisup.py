@@ -35,11 +35,14 @@ def build_knn_graph(features: np.ndarray, k: int = 500) -> sp.csr_matrix:
     from .geometry import knn
 
     idx, _ = knn(X, k)
-    rows = np.repeat(np.arange(n), k)
-    cols = idx.ravel()
-    sims = np.einsum("ij,ij->i", unit[rows], unit[cols])
-    vals = np.maximum(sims, 0.0) ** 3
-    w = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    # cosine similarities of each row to its neighbors, gathered a block of
+    # rows at a time so no (n*k) x d copy of the features is ever built
+    sims = np.empty((n, k))
+    for start in range(0, n, 256):
+        block = slice(start, start + 256)
+        sims[block] = np.einsum("ij,ikj->ik", unit[block], unit[idx[block]])
+    vals = np.maximum(sims.ravel(), 0.0) ** 3
+    w = sp.csr_matrix((vals, (np.repeat(np.arange(n), k), idx.ravel())), shape=(n, n))
     a = w.maximum(w.T)
     a.setdiag(0.0)
     a.eliminate_zeros()

@@ -22,21 +22,27 @@ from .geometry import (
 )
 from .rng import derive_rng, derive_seed
 
+# a diversified query clusters the top SHORTLIST_FACTOR * B scored points
+SHORTLIST_FACTOR = 50
+
+
 class StrategyUnavailable(RuntimeError):
     """The strategy cannot run in the current pool state (e.g. no anchors yet)."""
 
 
 @dataclass
 class QuerySpec:
-    """Strategy identifier plus its hyperparameters (defaults = benchmark protocol)."""
+    """Strategy identifier plus its hyperparameters (defaults = benchmark protocol).
+
+    The feature-dropout ratio is not one of them: bald, powerbald, inference
+    dropout and dropquery all use the classifier's ``train_config.dropout_rho``.
+    """
 
     kind: str
     diversify: bool = False
-    diversify_k: int = 50
     inference_dropout: bool = False
     mc_samples: int = 20
     dq_m: int = 3
-    dq_rho: float = 0.75
     dq_literal: bool = False
     power_beta: float = 1.0
     alfamix_eps_scale: float = 0.2
@@ -138,7 +144,7 @@ def diversify(
     features: np.ndarray,
     unlabeled: np.ndarray,
     b: int,
-    k_multiplier: int = 50,
+    k_multiplier: int = SHORTLIST_FACTOR,
     seed: int = 0,
 ) -> np.ndarray:
     """Cluster the top-(K*B) scored points into B clusters, take cluster medoid-like picks.
@@ -373,17 +379,13 @@ def estimate_delta(
 
     # a point stays pure at radius delta iff no differently-labeled point
     # sits within delta, so one pass over nearest cross-label distances
-    # answers every grid value
-    dist = np.sqrt(pairwise_sq_dist(X, X))
-    label_differs = pseudo[:, None] != pseudo[None, :]
-    cross = np.where(label_differs, dist, np.inf)
-    nearest_cross = cross.min(axis=1)
-    best = grid[0]
-    for delta in grid:
-        purity = float((nearest_cross > delta).mean())
-        if purity >= purity_threshold:
-            best = delta
-    return float(best)
+    # answers every grid value (sqrt is monotone, so it can follow the min)
+    d2 = pairwise_sq_dist(X, X)
+    d2[pseudo[:, None] == pseudo[None, :]] = np.inf
+    nearest_cross = np.sqrt(d2.min(axis=1))
+    purity = (nearest_cross[None, :] > grid[:, None]).mean(axis=1)
+    passing = np.flatnonzero(purity >= purity_threshold)
+    return float(grid[passing[-1]] if passing.size else grid[0])
 
 
 def query_probcover(features: np.ndarray, labeled, unlabeled, b: int, delta: float) -> np.ndarray:
@@ -431,8 +433,9 @@ def dropquery(
 
     Candidates are clustered into B groups (kmeans seeded with ``seed``) and
     the member nearest each centroid is selected. An empty candidate set falls
-    back to the top 50*B by margin uncertainty, clustered the same way; a
-    partial one is topped up with the highest-margin-uncertainty leftovers.
+    back to the top SHORTLIST_FACTOR*B by margin uncertainty, clustered the
+    same way; a partial one is topped up with the highest-margin-uncertainty
+    leftovers.
     """
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     b_eff = min(b, len(unlabeled))
@@ -451,12 +454,12 @@ def dropquery(
     cands = unlabeled[cand_mask]
     fraction = float(len(cands) / len(unlabeled))
 
-    # an empty candidate set falls back to the margin top 50*B; padding from
-    # the whole margin order then equals padding from that prefix, since
-    # fewer than B of its members are picked
+    # an empty candidate set falls back to the margin top SHORTLIST_FACTOR*B;
+    # padding from the whole margin order then equals padding from that
+    # prefix, since fewer than B of its members are picked
     margin_order = _score_order(score_margin(base_probs), unlabeled)
     if cands.size == 0:
-        cands = margin_order[: 50 * b_eff]
+        cands = margin_order[: SHORTLIST_FACTOR * b_eff]
     selected = _cluster_pick(X, cands, margin_order, b_eff, seed)
     return QueryResult(selected, candidate_fraction=fraction)
 
@@ -496,9 +499,7 @@ def _ranked(spec: QuerySpec, r: _Round) -> np.ndarray:
     """Score-ranked kinds: the top B, or the diversified top K*B."""
     scores = _scores(spec, r)
     if spec.diversify:
-        return diversify(
-            scores, r.features, r.unlabeled, r.b, spec.diversify_k, derive_seed(r.seed, "diversify")
-        )
+        return diversify(scores, r.features, r.unlabeled, r.b, seed=derive_seed(r.seed, "diversify"))
     return select_topb(scores, r.unlabeled, r.b)
 
 
@@ -534,7 +535,8 @@ _STRATEGIES = {
     ),
     "probcover": _probcover,
     "dropquery": lambda spec, r: dropquery(
-        r.features, r.clf, r.unlabeled, r.b, spec.dq_m, spec.dq_rho, r.seed, spec.dq_literal
+        r.features, r.clf, r.unlabeled, r.b, spec.dq_m, r.clf.train_config.dropout_rho, r.seed,
+        spec.dq_literal,
     ),
 }
 

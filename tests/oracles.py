@@ -7,8 +7,9 @@ in vectorized or factorized form, so the two can be compared directly.
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
-from alcove.geometry import pairwise_sq_dist
+from alcove.geometry import knn, pairwise_sq_dist
 
 
 def badge_sq_dist(z_i, p_i, z_j, p_j) -> float:
@@ -87,3 +88,24 @@ def aggregate_records(records):
         arr = np.asarray(vals, dtype=np.float64)
         out[key] = (float(arr.mean()), float(arr.std()))
     return out
+
+
+def knn_graph_by_gather(features: np.ndarray, k: int = 500):
+    """build_knn_graph with every edge's similarity taken from two gathered
+    (n*k) x d copies of the unit features, one row per edge endpoint."""
+    X = np.asarray(features, dtype=np.float64)
+    n = X.shape[0]
+    k = min(k, n - 1)
+    unit = X / np.maximum(np.sqrt(np.einsum("ij,ij->i", X, X)), 1e-12)[:, None]
+    idx, _ = knn(X, k)
+    rows = np.repeat(np.arange(n), k)
+    cols = idx.ravel()
+    sims = np.einsum("ij,ij->i", unit[rows], unit[cols])
+    w = sp.csr_matrix((np.maximum(sims, 0.0) ** 3, (rows, cols)), shape=(n, n))
+    a = w.maximum(w.T)
+    a.setdiag(0.0)
+    a.eliminate_zeros()
+    deg = np.asarray(a.sum(axis=1)).ravel()
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
+    d_half = sp.diags(inv_sqrt)
+    return (d_half @ a @ d_half).tocsr()

@@ -1,9 +1,13 @@
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
-from alcove.cli import main
+from alcove.classifier import TrainConfig
+from alcove.cli import _build_config, _build_spec, build_parser, main
+from alcove.strategies import QuerySpec
 
 
 def run_cli(*argv):
@@ -76,7 +80,6 @@ class TestRun:
         assert code == 0
         echo = json.loads((out / "config.json").read_text())
         assert echo["strategies"][0]["dq_m"] == 5
-        assert echo["strategies"][0]["dq_rho"] == 0.6
         assert echo["train"]["dropout_rho"] == 0.6
         assert echo["schema_version"] == 1
 
@@ -147,6 +150,17 @@ class TestBench:
             "--strategies", "random,mystery",
         )
         assert code == 1
+
+    def test_query_flags_map_onto_spec_fields_and_defaults(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = [a.dest for a in sub.choices["bench"]._actions]
+        for f in fields(QuerySpec):
+            if f.name != "kind":
+                assert dests.count(f.name) == 1, f.name
+        args = parser.parse_args(["bench", "--data", "d", "--out", "o"])
+        assert _build_spec("dropquery", args) == QuerySpec("dropquery")
+        assert _build_config(args, QuerySpec("dropquery")).train == TrainConfig()
 
 
 class TestStats:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from alcove.semisup import build_knn_graph, label_propagate
+from oracles import knn_graph_by_gather
 
 
 def closed_form(s_matrix, y, alpha):
@@ -38,6 +41,19 @@ class TestBuildKnnGraph:
         feats = rng.normal(size=(5, 3))
         s = build_knn_graph(feats, k=500)
         assert s.shape == (5, 5)
+
+    def test_matches_gather_reference_in_bounded_memory(self):
+        feats = np.random.default_rng(4).normal(size=(1000, 64))
+        tracemalloc.start()
+        try:
+            s = build_knn_graph(feats, k=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        ref = knn_graph_by_gather(feats, k=200)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(s, attr), getattr(ref, attr))
 
     def test_zero_diagonal(self):
         rng = np.random.default_rng(2)
