@@ -39,6 +39,10 @@ class TrainConfig:
     epochs: int = 500
     sample_weights: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        if not 0.0 <= self.dropout_rho < 1.0:
+            raise ValueError(f"dropout_rho must be in [0, 1), got {self.dropout_rho}")
+
 
 @dataclass
 class LinearClassifier:
@@ -93,8 +97,6 @@ def train(
     y = np.asarray(labels, dtype=np.int64)
     n, d = X.shape
     rho = config.dropout_rho
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("dropout_rho must be in [0, 1)")
     rng = np.random.default_rng(seed)
 
     w = np.ones(n) if config.sample_weights is None else np.asarray(config.sample_weights, dtype=np.float64)
@@ -163,16 +165,13 @@ def mc_dropout_proba(
     Pass s keeps the entries where the s-th (n, d) draw of default_rng(seed).random
     is >= rho, scaled by 1/(1 - rho); drawing per pass gives the same stream as
     one random((samples, n, d)) draw, at n*d memory. Returns an array of shape
-    (samples, n, C). rho=0 reproduces predict_proba exactly.
+    (samples, n, C). rho=0 keeps every entry, reproducing predict_proba exactly.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != clf.dim:
         raise ValueError(f"expected features of width {clf.dim}, got shape {X.shape}")
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must be in [0, 1)")
-    if rho == 0.0:
-        base = predict_proba(clf, X)
-        return np.broadcast_to(base, (samples,) + base.shape).copy()
     rng = np.random.default_rng(seed)
     out = np.empty((samples, X.shape[0], clf.num_classes))
     for s in range(samples):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .classifier import TrainConfig
 from .dataset_io import generate_synthetic, load_dataset, save_dataset
-from .harness import DEFAULT_SEEDS, RunConfig, RunRecord, IterationRow, run_bench
+from .harness import DEFAULT_SEEDS, INIT_MODES, RunConfig, RunRecord, IterationRow, run_bench
 from .stats import win_matrix, win_matrix_to_csv, win_matrix_to_json
 from .strategies import STRATEGY_KINDS, QuerySpec
 
@@ -23,7 +23,14 @@ RECORD_HEADER = ["strategy", "seed", "iteration", "labeled", "accuracy", "candid
 
 
 def _parse_seeds(text: str):
-    return tuple(int(s) for s in text.split(",") if s.strip())
+    """``--seeds``: a non-empty comma-separated list of distinct integers."""
+    try:
+        seeds = tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        seeds = ()
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"expected distinct comma-separated integers, got {text!r}")
+    return seeds
 
 
 def _build_spec(kind: str, args) -> QuerySpec:
@@ -38,7 +45,7 @@ def _build_config(args, spec: QuerySpec) -> RunConfig:
     return RunConfig(
         strategy=spec,
         iterations=args.iterations,
-        seeds=_parse_seeds(args.seeds),
+        seeds=args.seeds,
         budget=args.budget,
         init=args.init,
         train=train_cfg,
@@ -58,13 +65,18 @@ def _records_to_rows(records):
     return rows
 
 
-def _write_results(out_dir: Path, records, config_echo: dict, force: bool):
+def _writable(out_dir: Path, names, force: bool):
+    """Paths of ``names`` under ``out_dir`` (created); refuses existing files without --force."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    records_path = out_dir / "records.csv"
-    config_path = out_dir / "config.json"
-    for path in (records_path, config_path):
+    paths = [out_dir / name for name in names]
+    for path in paths:
         if path.exists() and not force:
             raise FileExistsError(f"{path} exists; pass --force to overwrite")
+    return paths
+
+
+def _write_results(out_dir: Path, records, config_echo: dict, force: bool):
+    records_path, config_path = _writable(out_dir, ("records.csv", "config.json"), force)
     with open(records_path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(RECORD_HEADER)
@@ -114,12 +126,7 @@ def _config_echo(command: str, args, spec_list, config: RunConfig) -> dict:
         "seeds": list(config.seeds),
         "budget": config.budget,
         "init": config.init,
-        "train": {
-            "learning_rate": config.train.learning_rate,
-            "weight_decay": config.train.weight_decay,
-            "dropout_rho": config.train.dropout_rho,
-            "epochs": config.train.epochs,
-        },
+        "train": {k: v for k, v in asdict(config.train).items() if k != "sample_weights"},
         "semisup": config.semisupervised,
     }
 
@@ -155,13 +162,7 @@ def cmd_bench(args) -> int:
 def cmd_stats(args) -> int:
     grouped = {str(path): _read_records(Path(path)) for path in args.results}
     wm = win_matrix(grouped)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "win_matrix.csv"
-    json_path = out_dir / "win_matrix.json"
-    for path in (csv_path, json_path):
-        if path.exists() and not args.force:
-            raise FileExistsError(f"{path} exists; pass --force to overwrite")
+    csv_path, json_path = _writable(Path(args.out), ("win_matrix.csv", "win_matrix.json"), args.force)
     csv_path.write_text(win_matrix_to_csv(wm))
     json_path.write_text(win_matrix_to_json(wm))
     print(csv_path)
@@ -169,12 +170,12 @@ def cmd_stats(args) -> int:
 
 
 def _add_query_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seeds", default=",".join(str(s) for s in DEFAULT_SEEDS),
-                   help="comma-separated run seeds")
+    p.add_argument("--seeds", type=_parse_seeds, default=DEFAULT_SEEDS,
+                   help="comma-separated distinct run seeds")
     p.add_argument("--iterations", type=int, default=20)
     p.add_argument("--budget", type=int, default=None,
                    help="labels per iteration (default: number of classes)")
-    p.add_argument("--init", choices=["random", "centroid", "own"], default="random")
+    p.add_argument("--init", choices=INIT_MODES, default="random")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--m", type=int, default=QuerySpec.dq_m, dest="dq_m",
                    help="dropout votes per point (dropquery)")

@@ -26,7 +26,7 @@ MANIFEST_NAME = "dataset.json"
 class EmbeddingDataset:
     """An N x d feature matrix with hidden labels and a train/test split.
 
-    Immutable after construction; safe to share across concurrent runs.
+    Immutable after construction.
     """
 
     features: np.ndarray  # (n, d) float32

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+KMEANS_MAX_ITERS = 100
+
 
 @dataclass
 class Clustering:
@@ -95,10 +97,11 @@ def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return _kmeanspp_from_dist(m, k, rng, lambda j: pairwise_sq_dist(points, points[j : j + 1])[:, 0])
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> Clustering:
+def kmeans(points: np.ndarray, k: int, seed: int) -> Clustering:
     """Lloyd iterations from k-means++ seeds (rng = default_rng(seed)).
 
-    Stops at an assignment fixpoint or after max_iters. Empty clusters are
+    Stops at an assignment fixpoint or after KMEANS_MAX_ITERS (100) Lloyd
+    steps; there is no tolerance, the fixpoint is exact. Empty clusters are
     re-seeded at the point currently farthest from its assigned centroid, so
     all k clusters stay populated.
     """
@@ -116,7 +119,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> Clust
 
     assignments, inertia = assign(centroids)
     history = [inertia]
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         counts = np.bincount(assignments, minlength=k)
         sums = np.zeros((k, d))
         np.add.at(sums, assignments, points)
@@ -142,7 +145,10 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100) -> Clust
 
 
 def nearest_to_centroids(points: np.ndarray, clustering: Clustering) -> np.ndarray:
-    """Per non-empty cluster, the member closest to its centroid (ties: smaller index)."""
+    """Per non-empty cluster, the member closest to its centroid (ties: smaller index).
+
+    Clusters are disjoint, so the picks are distinct.
+    """
     points = np.asarray(points, dtype=np.float64)
     picks = []
     k = clustering.centroids.shape[0]
@@ -152,7 +158,7 @@ def nearest_to_centroids(points: np.ndarray, clustering: Clustering) -> np.ndarr
             continue
         d2 = pairwise_sq_dist(points[members], clustering.centroids[cid : cid + 1])[:, 0]
         picks.append(int(members[np.argmin(d2)]))
-    return np.asarray(list(dict.fromkeys(picks)), dtype=np.int64)
+    return np.asarray(picks, dtype=np.int64)
 
 
 def greedy_k_center(points: np.ndarray, existing_centers, b: int) -> np.ndarray:

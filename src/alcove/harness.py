@@ -21,6 +21,7 @@ from .semisup import build_knn_graph, label_propagate
 from .strategies import QuerySpec, estimate_delta, query
 
 DEFAULT_SEEDS = (1, 10, 100, 1000, 10000)
+INIT_MODES = ("random", "centroid", "own")
 
 
 @dataclass
@@ -34,6 +35,14 @@ class RunConfig:
     init: str = "random"  # random | centroid | own
     train: TrainConfig = field(default_factory=TrainConfig)
     semisupervised: bool = False
+
+    def __post_init__(self):
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(f"budget must be None or >= 1, got {self.budget}")
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.init not in INIT_MODES:
+            raise ValueError(f"unknown init mode {self.init!r} (expected {'|'.join(INIT_MODES)})")
 
 
 @dataclass
@@ -81,28 +90,25 @@ class LabelOracle:
         return self._labels[indices]
 
 
-def _select_initial_pool(dataset, feats, train_sorted, config, seed, delta):
-    b = config.budget or dataset.num_classes
+def _select_initial_pool(dataset, feats, train_sorted, config, b, seed, delta):
     init_seed = derive_seed(seed, "init")
     if config.init == "random":
         return random_init(train_sorted, b, init_seed)
     if config.init == "centroid":
         return centroid_init(feats, train_sorted, b, init_seed)
-    if config.init == "own":
-        clf = zero_classifier(dataset.num_classes, dataset.dim, config.train)
-        res = query(
-            config.strategy,
-            feats,
-            clf,
-            labeled=np.empty(0, dtype=np.int64),
-            labeled_labels=np.empty(0, dtype=np.int64),
-            unlabeled=train_sorted,
-            b=b,
-            seed=init_seed,
-            delta=delta,
-        )
-        return res.selected
-    raise ValueError(f"unknown init mode {config.init!r} (expected random|centroid|own)")
+    clf = zero_classifier(dataset.num_classes, dataset.dim, config.train)
+    res = query(
+        config.strategy,
+        feats,
+        clf,
+        labeled=np.empty(0, dtype=np.int64),
+        labeled_labels=np.empty(0, dtype=np.int64),
+        unlabeled=train_sorted,
+        b=b,
+        seed=init_seed,
+        delta=delta,
+    )
+    return res.selected
 
 
 def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord:
@@ -126,12 +132,13 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
             derive_seed(seed, "probcover/delta"),
         )
 
-    initial = _select_initial_pool(dataset, feats, train_sorted, config, seed, delta)
-    init_labels = oracle.reveal(initial)
-    order = np.argsort(initial, kind="stable")
-    labeled = np.asarray(initial, dtype=np.int64)[order]
-    labeled_y = init_labels[order]
-    unlabeled = np.setdiff1d(train_sorted, initial, assume_unique=True)
+    # the label of each sorted train point, -1 while unlabeled
+    y = np.full(len(train_sorted), -1, dtype=np.int64)
+
+    def reveal(indices):
+        y[np.searchsorted(train_sorted, indices)] = oracle.reveal(indices)
+
+    reveal(_select_initial_pool(dataset, feats, train_sorted, config, b, seed, delta))
 
     if config.semisupervised:
         pool_x = feats[train_sorted]
@@ -140,9 +147,11 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
     record = RunRecord(strategy=config.strategy.strategy_id(), seed=seed)
     for t in range(1, config.iterations + 1):
         t0 = time.perf_counter()
+        is_labeled = y >= 0
+        labeled, labeled_y = train_sorted[is_labeled], y[is_labeled]
+        unlabeled = train_sorted[~is_labeled]
         if config.semisupervised:
-            y_onehot = np.zeros((len(train_sorted), dataset.num_classes))
-            y_onehot[np.searchsorted(train_sorted, labeled), labeled_y] = 1.0
+            y_onehot = (y[:, None] == np.arange(dataset.num_classes)).astype(np.float64)
             prop = label_propagate(graph, y_onehot)
             train_x = pool_x
             train_y = np.argmax(prop.pseudo_probs, axis=1)
@@ -171,7 +180,7 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
             seed=derive_seed(seed, f"query/{t}"),
             delta=delta,
         )
-        new_labels = oracle.reveal(res.selected)
+        reveal(res.selected)
         record.rows.append(
             IterationRow(
                 t,
@@ -181,12 +190,6 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
                 wall_time=time.perf_counter() - t0,
             )
         )
-
-        merged = np.concatenate([labeled, res.selected])
-        order = np.argsort(merged, kind="stable")
-        labeled_y = np.concatenate([labeled_y, new_labels])[order]
-        labeled = merged[order]
-        unlabeled = np.setdiff1d(unlabeled, res.selected, assume_unique=True)
 
     record.oracle_accesses = oracle.access_count
     return record

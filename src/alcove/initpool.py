@@ -15,7 +15,7 @@ def random_init(train_indices, b: int, seed: int) -> np.ndarray:
 def centroid_init(features: np.ndarray, train_indices, b: int, seed: int) -> np.ndarray:
     """Points nearest the centroids of a b-cluster k-means over the train split.
 
-    If deduplication leaves fewer than b picks, the largest clusters donate
+    If an empty cluster leaves fewer than b picks, the largest clusters donate
     their next-nearest members.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)

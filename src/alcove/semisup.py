@@ -9,7 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg  # noqa: F401  (registers sp.linalg)
+
+from .geometry import knn
+from .strategies import score_entropy
+
+PROPAGATION_MAX_ITERS = 10000
+PROPAGATION_TOL = 1e-8
 
 
 @dataclass
@@ -32,8 +37,6 @@ def build_knn_graph(features: np.ndarray, k: int = 500) -> sp.csr_matrix:
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     unit = X / np.maximum(norms, 1e-12)[:, None]
 
-    from .geometry import knn
-
     idx, _ = knn(X, k)
     # cosine similarities of each row to its neighbors, gathered a block of
     # rows at a time so no (n*k) x d copy of the features is ever built
@@ -53,53 +56,34 @@ def build_knn_graph(features: np.ndarray, k: int = 500) -> sp.csr_matrix:
     return (d_half @ a @ d_half).tocsr()
 
 
-def label_propagate(
-    s_matrix,
-    labels_onehot: np.ndarray,
-    alpha: float = 0.9,
-    iters: int = 10000,
-    tol: float = 1e-8,
-    method: str = "iterative",
-) -> PropagationResult:
+def label_propagate(s_matrix, labels_onehot: np.ndarray, alpha: float = 0.9) -> PropagationResult:
     """Diffuse seed labels: F <- alpha S F + (1 - alpha) Y.
 
-    ``method`` selects the iterative fixpoint or the closed-form solve
-    (1 - alpha)(I - alpha S)^{-1} Y; the two agree at the fixpoint. Iteration
-    stops once the contraction bound puts F within ``tol`` of the fixpoint
-    (or at the ``iters`` cap). Labeled rows (nonzero rows of Y) are clamped
-    back to their one-hot labels afterward, rows are renormalized (all-zero
-    rows become uniform), and weights are 1 - H/log(C).
+    Iteration stops once the contraction bound alpha/(1 - alpha) * residual
+    puts F within PROPAGATION_TOL (1e-8) of the fixpoint, or after
+    PROPAGATION_MAX_ITERS (10,000) steps. Labeled rows (nonzero rows of Y)
+    are clamped back to their one-hot labels afterward, rows are
+    renormalized (all-zero rows become uniform), and weights are 1 - H/log(C).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must be in [0, 1)")
     Y = np.asarray(labels_onehot, dtype=np.float64)
-    n, c = Y.shape
+    c = Y.shape[1]
     labeled_mask = Y.sum(axis=1) > 0
     if not labeled_mask.any():
         raise ValueError("label propagation needs at least one labeled row")
 
-    if method == "closed_form":
-        ident = sp.identity(n, format="csr")
-        F = (1.0 - alpha) * np.asarray(
-            sp.linalg.spsolve(ident - alpha * sp.csr_matrix(s_matrix), Y)
-        ).reshape(n, c)
-    elif method == "iterative":
-        F = Y.copy()
-        gain = alpha / (1.0 - alpha)
-        for _ in range(iters):
-            F_next = alpha * (s_matrix @ F) + (1.0 - alpha) * Y
-            residual = np.abs(F_next - F).max()
-            F = F_next
-            if residual * gain < tol:
-                break
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    F = Y.copy()
+    gain = alpha / (1.0 - alpha)
+    for _ in range(PROPAGATION_MAX_ITERS):
+        F_next = alpha * (s_matrix @ F) + (1.0 - alpha) * Y
+        residual = np.abs(F_next - F).max()
+        F = F_next
+        if residual * gain < PROPAGATION_TOL:
+            break
 
     F[labeled_mask] = Y[labeled_mask]
     row_sums = F.sum(axis=1)
     F = np.where(row_sums[:, None] > 0, F / np.maximum(row_sums, 1e-300)[:, None], 1.0 / c)
-
-    p_safe = np.where(F > 0, F, 1.0)
-    entropy = -(F * np.log(p_safe)).sum(axis=1)
-    weights = np.clip(1.0 - entropy / np.log(c), 0.0, 1.0)
+    weights = np.clip(1.0 - score_entropy(F) / np.log(c), 0.0, 1.0)
     return PropagationResult(pseudo_probs=F, weights=weights)

@@ -14,6 +14,7 @@ import numpy as np
 from .classifier import LinearClassifier, mc_dropout_proba, predict_proba
 from .geometry import (
     _kmeanspp_from_dist,
+    _weighted_pick,
     greedy_k_center,
     kmeans,
     knn,
@@ -55,6 +56,9 @@ class QuerySpec:
             raise ValueError(
                 f"unknown strategy kind {self.kind!r}; choose from {', '.join(STRATEGY_KINDS)}"
             )
+        for name in ("mc_samples", "dq_m", "typiclust_max_clusters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def strategy_id(self) -> str:
         """Record identifier; diversification variants get their own id."""
@@ -87,10 +91,10 @@ def score_uncertainty(probs: np.ndarray) -> np.ndarray:
 
 
 def score_entropy(probs: np.ndarray) -> np.ndarray:
-    """Predictive entropy in nats, with 0*log(0) = 0."""
+    """Predictive entropy in nats over the last (class) axis, with 0*log(0) = 0."""
     p = np.asarray(probs, dtype=np.float64)
     terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return -terms.sum(axis=1)
+    return -terms.sum(axis=-1)
 
 
 def score_margin(probs: np.ndarray) -> np.ndarray:
@@ -102,7 +106,7 @@ def score_margin(probs: np.ndarray) -> np.ndarray:
 def score_bald(mc_probs: np.ndarray) -> np.ndarray:
     """Mutual information: entropy of the mean minus mean entropy, clamped >= 0."""
     mc = np.asarray(mc_probs, dtype=np.float64)
-    mean_entropy = np.stack([score_entropy(mc[s]) for s in range(mc.shape[0])]).mean(axis=0)
+    mean_entropy = score_entropy(mc).mean(axis=0)
     entropy_mean = score_entropy(mc.mean(axis=0))
     return np.maximum(entropy_mean - mean_entropy, 0.0)
 
@@ -116,6 +120,21 @@ def _score_order(scores: np.ndarray, indices: np.ndarray) -> np.ndarray:
 def select_topb(scores: np.ndarray, unlabeled: np.ndarray, b: int) -> np.ndarray:
     """The b highest-scoring unlabeled indices; ties to the smaller index."""
     return _score_order(scores, unlabeled)[:b]
+
+
+def _probs_minus_onehot(probs: np.ndarray) -> np.ndarray:
+    """probs - onehot(argmax probs): the cross-entropy gradient w.r.t. the
+    logits when the predicted class is taken as the label."""
+    out = probs.copy()
+    out[np.arange(len(probs)), np.argmax(probs, axis=1)] -= 1.0
+    return out
+
+
+def _train_pool(labeled, unlabeled):
+    """The sorted train pool labeled | unlabeled, and its labeled mask."""
+    labeled = np.asarray(labeled, dtype=np.int64)
+    pool = np.sort(np.concatenate([labeled, np.asarray(unlabeled, dtype=np.int64)]))
+    return pool, np.isin(pool, labeled)
 
 
 def _cluster_pick(
@@ -188,10 +207,7 @@ def query_powerbald(
     picks = []
     alive = np.ones(len(unlabeled), dtype=bool)
     for _ in range(b_eff):
-        w = np.where(alive, weights, 0.0)
-        cum = np.cumsum(w)
-        r = rng.random() * cum[-1]
-        pos = min(int(np.searchsorted(cum, r, side="right")), len(w) - 1)
+        pos = _weighted_pick(np.where(alive, weights, 0.0), rng)
         if not alive[pos]:
             pos = int(np.flatnonzero(alive)[0])
         picks.append(unlabeled[pos])
@@ -201,12 +217,8 @@ def query_powerbald(
 
 def query_coreset(features: np.ndarray, labeled, unlabeled, b: int) -> np.ndarray:
     """Greedy k-center over the train pool with labeled points as existing centers."""
-    labeled = np.asarray(labeled, dtype=np.int64)
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
-    pool = np.sort(np.concatenate([labeled, unlabeled]))
-    existing = np.searchsorted(pool, np.sort(labeled))
-    b_eff = min(b, len(unlabeled))
-    picks = greedy_k_center(features[pool], existing, b_eff)
+    pool, is_labeled = _train_pool(labeled, unlabeled)
+    picks = greedy_k_center(features[pool], np.flatnonzero(is_labeled), min(b, len(unlabeled)))
     return pool[picks]
 
 
@@ -225,9 +237,7 @@ def query_badge(
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     b_eff = min(b, len(unlabeled))
     Z = np.asarray(features, dtype=np.float64)[unlabeled]
-    probs = predict_proba(clf, Z)
-    P = probs.copy()
-    P[np.arange(len(unlabeled)), np.argmax(probs, axis=1)] -= 1.0
+    P = _probs_minus_onehot(predict_proba(clf, Z))
     z2 = np.einsum("ij,ij->i", Z, Z)
     p2 = np.einsum("ij,ij->i", P, P)
     g2 = z2 * p2  # ||z p^T||_F^2 per point
@@ -274,9 +284,7 @@ def query_alfamix(
     U = X[unlabeled]
     probs = predict_proba(clf, U)
     base = np.argmax(probs, axis=1)
-    delta = probs.copy()
-    delta[np.arange(len(unlabeled)), base] -= 1.0
-    grads = delta @ clf.weights  # d-loss/d-z at each unlabeled point
+    grads = _probs_minus_onehot(probs) @ clf.weights  # d-loss/d-z at each unlabeled point
 
     flips = np.zeros(len(unlabeled), dtype=np.int64)
     for anchor in anchors:
@@ -311,15 +319,13 @@ def query_typiclust(
     knn_k: int,
     seed: int,
 ) -> np.ndarray:
-    """Cluster the train pool, then take the densest unlabeled member of
-    the least-labeled clusters (ranked by labeled count asc, size desc, id asc)."""
-    labeled = np.asarray(labeled, dtype=np.int64)
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
+    """Cluster the train pool and take unlabeled members round-robin over the
+    clusters ranked by labeled count asc, size desc, id asc: the densest of
+    each, then the second densest of each cluster with one left, and so on."""
     b_eff = min(b, len(unlabeled))
     if b_eff == 0:
         return np.empty(0, dtype=np.int64)
-    pool = np.sort(np.concatenate([labeled, unlabeled]))
-    is_labeled = np.isin(pool, labeled)
+    pool, is_labeled = _train_pool(labeled, unlabeled)
     X = np.asarray(features, dtype=np.float64)[pool]
     k = min(len(labeled) + b_eff, max_clusters, len(pool))
     cl = kmeans(X, k, seed)
@@ -328,28 +334,21 @@ def query_typiclust(
     lab_counts = np.bincount(cl.assignments[is_labeled], minlength=k)
     rank = np.lexsort((np.arange(k), -sizes, lab_counts))
 
-    # per-cluster queues of unlabeled members, densest first
-    queues = []
-    for cid in rank:
+    # per-cluster queues of unlabeled members, densest first; the round-robin
+    # order is (position in its queue, cluster rank)
+    queues, positions, ranks = [], [], []
+    for r, cid in enumerate(rank):
         members = np.flatnonzero(cl.assignments == cid)
         cand = members[~is_labeled[members]]
         if cand.size == 0:
             continue
         typ = _typicality_all(X[members], min(knn_k, len(members) - 1))
         cand_typ = typ[np.searchsorted(members, cand)]
-        queues.append(list(pool[cand[np.lexsort((cand, -cand_typ))]]))
-
-    picks = []
-    while len(picks) < b_eff and queues:
-        exhausted = []
-        for qi, q in enumerate(queues):
-            if len(picks) == b_eff:
-                break
-            picks.append(q.pop(0))
-            if not q:
-                exhausted.append(qi)
-        queues = [q for qi, q in enumerate(queues) if qi not in exhausted]
-    return np.asarray(picks, dtype=np.int64)
+        queues.append(pool[cand[np.lexsort((cand, -cand_typ))]])
+        positions.append(np.arange(cand.size))
+        ranks.append(np.full(cand.size, r))
+    order = np.lexsort((np.concatenate(ranks), np.concatenate(positions)))
+    return np.concatenate(queues)[order[:b_eff]]
 
 
 def estimate_delta(
@@ -390,21 +389,14 @@ def estimate_delta(
 
 def query_probcover(features: np.ndarray, labeled, unlabeled, b: int, delta: float) -> np.ndarray:
     """Greedy max-coverage over the delta-ball graph, seeded by labeled coverage."""
-    labeled = np.asarray(labeled, dtype=np.int64)
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
-    b_eff = min(b, len(unlabeled))
-    pool = np.sort(np.concatenate([labeled, unlabeled]))
+    pool, is_labeled = _train_pool(labeled, unlabeled)
     X = np.asarray(features, dtype=np.float64)[pool]
     adj = pairwise_sq_dist(X, X) <= delta * delta
 
-    covered = np.zeros(len(pool), dtype=bool)
-    lab_pos = np.searchsorted(pool, np.sort(labeled))
-    if lab_pos.size:
-        covered = adj[lab_pos].any(axis=0)
-
-    cand = np.isin(pool, unlabeled)
+    covered = adj[is_labeled].any(axis=0)
+    cand = ~is_labeled
     picks = []
-    for _ in range(b_eff):
+    for _ in range(min(b, len(unlabeled))):
         counts = np.where(cand, adj[:, ~covered].sum(axis=1), -1)
         pick = int(np.argmax(counts))
         picks.append(int(pool[pick]))

@@ -8,8 +8,10 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg  # noqa: F401  (registers sp.linalg)
 
 from alcove.geometry import knn, pairwise_sq_dist
+from alcove.semisup import PropagationResult
 
 
 def badge_sq_dist(z_i, p_i, z_j, p_j) -> float:
@@ -109,3 +111,24 @@ def knn_graph_by_gather(features: np.ndarray, k: int = 500):
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
     d_half = sp.diags(inv_sqrt)
     return (d_half @ a @ d_half).tocsr()
+
+
+def label_propagate_closed_form(s_matrix, labels_onehot: np.ndarray, alpha: float = 0.9):
+    """label_propagate with F taken from the linear solve
+    F = (1 - alpha)(I - alpha S)^{-1} Y instead of the fixpoint iteration,
+    then the same clamp of labeled rows, row renormalization (all-zero rows
+    become uniform) and weights 1 - H/log(C)."""
+    Y = np.asarray(labels_onehot, dtype=np.float64)
+    n, c = Y.shape
+    system = sp.identity(n, format="csr") - alpha * sp.csr_matrix(s_matrix)
+    F = (1.0 - alpha) * np.asarray(sp.linalg.spsolve(system, Y)).reshape(n, c)
+    labeled = Y.sum(axis=1) > 0
+    F[labeled] = Y[labeled]
+    row_sums = F.sum(axis=1)
+    for i in range(n):
+        F[i] = F[i] / row_sums[i] if row_sums[i] > 0 else 1.0 / c
+    weights = np.empty(n)
+    for i in range(n):
+        entropy = -sum(p * np.log(p) for p in F[i] if p > 0)
+        weights[i] = min(max(1.0 - entropy / np.log(c), 0.0), 1.0)
+    return PropagationResult(pseudo_probs=F, weights=weights)

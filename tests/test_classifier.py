@@ -91,6 +91,12 @@ class TestPredictProba:
             predict_proba(zero_classifier(2, 3), np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("rho", [-0.1, 1.0, 1.5])
+def test_dropout_ratio_outside_unit_interval_rejected(rho):
+    with pytest.raises(ValueError, match="dropout_rho"):
+        TrainConfig(dropout_rho=rho)
+
+
 class TestMcDropout:
     def test_rho_zero_identity(self):
         rng = np.random.default_rng(4)

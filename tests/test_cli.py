@@ -151,6 +151,17 @@ class TestBench:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("seeds", ["1,1", "1,10,1", ",", "", "1,x"])
+    def test_bad_seed_lists_are_usage_errors(self, dataset_dir, tmp_path, seeds):
+        out = tmp_path / "res"
+        with pytest.raises(SystemExit) as err:
+            run_cli(
+                "bench", "--data", str(dataset_dir), "--out", str(out),
+                "--strategies", "random", "--seeds", seeds, "--iterations", "1",
+            )
+        assert err.value.code == 2
+        assert not out.exists()
+
     def test_query_flags_map_onto_spec_fields_and_defaults(self):
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

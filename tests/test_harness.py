@@ -149,10 +149,15 @@ class TestRunAl:
         assert labeled_counts == [4, 8]  # each round's labels, none after the last reveal
 
     def test_unknown_init_rejected(self):
-        ds = small_dataset()
-        cfg = RunConfig(strategy=QuerySpec("random"), iterations=1, init="bogus")
-        with pytest.raises(ValueError):
-            run_al(ds, cfg, seed=1)
+        with pytest.raises(ValueError, match="init"):
+            RunConfig(strategy=QuerySpec("random"), iterations=1, init="bogus")
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("setting", [{"budget": 0}, {"budget": -2}, {"iterations": 0}])
+    def test_bad_settings_rejected_at_construction(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            RunConfig(strategy=QuerySpec("random"), **setting)
 
 
 class TestRunBench:

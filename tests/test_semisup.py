@@ -2,16 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from alcove.semisup import build_knn_graph, label_propagate
-from oracles import knn_graph_by_gather
-
-
-def closed_form(s_matrix, y, alpha):
-    n = y.shape[0]
-    dense = np.asarray(s_matrix.todense()) if sp.issparse(s_matrix) else np.asarray(s_matrix)
-    return (1 - alpha) * np.linalg.solve(np.eye(n) - alpha * dense, y)
+from oracles import knn_graph_by_gather, label_propagate_closed_form
 
 
 class TestBuildKnnGraph:
@@ -98,8 +91,8 @@ class TestLabelPropagate:
 
     def test_iterative_matches_closed_form(self):
         s, y = two_cluster_graph()
-        raw_iter = label_propagate(s, y, alpha=0.9, method="iterative")
-        raw_solve = label_propagate(s, y, alpha=0.9, method="closed_form")
+        raw_iter = label_propagate(s, y, alpha=0.9)
+        raw_solve = label_propagate_closed_form(s, y, alpha=0.9)
         assert np.abs(raw_iter.pseudo_probs - raw_solve.pseudo_probs).max() < 1e-5
         assert np.abs(raw_iter.weights - raw_solve.weights).max() < 1e-5
 
@@ -113,8 +106,8 @@ class TestLabelPropagate:
             seeds = rng.choice(n, size=3, replace=False)
             for c, i in enumerate(seeds):
                 y[i, c] = 1.0
-            a = label_propagate(s, y, alpha=0.9, method="iterative")
-            b = label_propagate(s, y, alpha=0.9, method="closed_form")
+            a = label_propagate(s, y, alpha=0.9)
+            b = label_propagate_closed_form(s, y, alpha=0.9)
             assert np.abs(a.pseudo_probs - b.pseudo_probs).max() < 1e-5
 
     def test_seeds_keep_their_argmax(self):

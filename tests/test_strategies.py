@@ -81,6 +81,9 @@ class TestScores:
                 [-sum(p * math.log(p) for p in stack[s, i] if p > 0) for s in range(3)]
             )
             assert got[i] == pytest.approx(max(h_mean - mean_h, 0.0), abs=1e-12)
+        # same arithmetic as entropy taken one sample at a time, bit for bit
+        per_sample = np.stack([score_entropy(stack[s]) for s in range(3)]).mean(axis=0)
+        assert np.array_equal(got, np.maximum(score_entropy(stack.mean(axis=0)) - per_sample, 0.0))
 
     def test_duplicate_row_locality(self):
         rng = np.random.default_rng(1)
@@ -424,6 +427,33 @@ class TestTypiclust:
             expected.append(ranked[0][0])
         assert got.tolist() == expected
 
+    def test_round_robin_over_fewer_clusters_than_picks(self):
+        rng = np.random.default_rng(17)
+        feats = rng.normal(size=(30, 3))
+        labeled = [2, 11]
+        unlabeled = np.array([i for i in range(30) if i not in labeled])
+        b, max_clusters, knn_k, seed = 20, 3, 4, 5
+        got = query_typiclust(feats, labeled, unlabeled, b, max_clusters, knn_k, seed)
+
+        # oracle: one queue per ranked cluster, densest first, popped in turn
+        cl = kmeans(feats, max_clusters, seed)
+        sizes = np.bincount(cl.assignments, minlength=max_clusters)
+        lab_counts = np.bincount(cl.assignments[labeled], minlength=max_clusters)
+        queues = []
+        for cid in np.lexsort((np.arange(max_clusters), -sizes, lab_counts)):
+            members = np.flatnonzero(cl.assignments == cid)
+            k = min(knn_k, len(members) - 1)
+            typ = {m: typicality(feats[members], int(np.searchsorted(members, m)), k) for m in members}
+            cand = sorted((m for m in members if m not in labeled), key=lambda m: (-typ[m], m))
+            queues.append(cand)
+        assert min(map(len, queues)) < b // max_clusters  # some queue runs dry
+        expected = []
+        while len(expected) < b:
+            for q in queues:
+                if q and len(expected) < b:
+                    expected.append(int(q.pop(0)))
+        assert got.tolist() == expected
+
     def test_tie_rule_size_then_id(self):
         # two singleton labeled-free clusters of equal size: smaller cluster id wins
         feats = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
@@ -679,6 +709,12 @@ def test_diversified_variants_also_budget_exact():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="choose from random, uncertainty, .*, dropquery"):
         QuerySpec(kind="mystery")
+
+
+@pytest.mark.parametrize("name", ["mc_samples", "dq_m", "typiclust_max_clusters"])
+def test_count_settings_must_be_positive(name):
+    with pytest.raises(ValueError, match=name):
+        QuerySpec("bald", **{name: 0})
 
 
 def test_probcover_without_delta_names_estimate_delta():
