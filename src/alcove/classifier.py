@@ -5,8 +5,7 @@ cross-entropy with input-feature dropout. The pool sizes in the low-budget
 regime are tiny, so full-batch keeps every run deterministic and cheap.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ class TrainConfig:
     weight_decay: float = 1e-2
     dropout_rho: float = 0.75
     epochs: int = 500
-    sample_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_rho < 1.0:
@@ -46,11 +44,11 @@ class TrainConfig:
 
 @dataclass
 class LinearClassifier:
-    """Trained weights of the linear head g(z) = softmax(W z + b)."""
+    """Trained linear head g(z) = softmax(W z + b) and its training dropout ratio."""
 
     weights: np.ndarray  # (C, d)
     bias: np.ndarray  # (C,)
-    train_config: TrainConfig = field(default_factory=TrainConfig)
+    dropout_rho: float = TrainConfig.dropout_rho
 
     @property
     def num_classes(self) -> int:
@@ -61,13 +59,9 @@ class LinearClassifier:
         return self.weights.shape[1]
 
 
-def zero_classifier(num_classes: int, dim: int, config: Optional[TrainConfig] = None) -> LinearClassifier:
+def zero_classifier(num_classes: int, dim: int, dropout_rho: float) -> LinearClassifier:
     """Untrained placeholder: zero weights, uniform predictions everywhere."""
-    return LinearClassifier(
-        weights=np.zeros((num_classes, dim)),
-        bias=np.zeros(num_classes),
-        train_config=config or TrainConfig(),
-    )
+    return LinearClassifier(np.zeros((num_classes, dim)), np.zeros(num_classes), dropout_rho)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -82,12 +76,15 @@ def train(
     num_classes: int,
     config: TrainConfig,
     seed: int,
+    sample_weights=None,
 ) -> LinearClassifier:
     """Fit the linear head with full-batch AdamW from zero initialization.
 
     Each epoch draws a fresh Bernoulli(1 - rho) keep-mask over the feature
-    matrix (kept entries scaled by 1/(1 - rho)). Classes absent from
-    ``labels`` simply receive no positive gradient. Deterministic in seed.
+    matrix (kept entries scaled by 1/(1 - rho)), rho = ``config.dropout_rho``,
+    which the classifier keeps. ``sample_weights`` (None: all equal) are
+    normalized to sum to 1. Classes absent from ``labels`` simply receive no
+    positive gradient. Deterministic in seed.
 
     The hot loop works on a parameter matrix with the bias folded in as a
     constant-1 column; the math matches the reference loss and gradient
@@ -99,25 +96,24 @@ def train(
     rho = config.dropout_rho
     rng = np.random.default_rng(seed)
 
-    w = np.ones(n) if config.sample_weights is None else np.asarray(config.sample_weights, dtype=np.float64)
+    w = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
+    if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError(f"sample_weights must be {n} finite, non-negative values, one per row")
     total = w.sum()
     wn = w / total if total > 0 else w
     gather = (np.arange(n), y)
     tiny = np.finfo(np.float64).tiny
 
-    X_scaled = X / (1.0 - rho) if rho > 0.0 else X
+    X_scaled = X / (1.0 - rho)
     aug = np.ones((n, d + 1))
-    if rho == 0.0:
-        aug[:, :d] = X
     params = np.zeros((num_classes, d + 1))
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     lr, wd = config.learning_rate, config.weight_decay
 
     for epoch in range(1, config.epochs + 1):
-        if rho > 0.0:
-            mask = rng.random((n, d), dtype=np.float32) >= rho
-            np.multiply(X_scaled, mask, out=aug[:, :d])
+        mask = rng.random((n, d), dtype=np.float32) >= rho
+        np.multiply(X_scaled, mask, out=aug[:, :d])
         probs = aug @ params.T
         probs -= probs.max(axis=1, keepdims=True)
         np.exp(probs, out=probs)
@@ -140,9 +136,7 @@ def train(
 
     if not np.all(np.isfinite(params)):
         raise TrainingDiverged(config.epochs)
-    return LinearClassifier(
-        weights=params[:, :d].copy(), bias=params[:, d].copy(), train_config=config
-    )
+    return LinearClassifier(params[:, :d].copy(), params[:, d].copy(), rho)
 
 
 def predict_proba(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
@@ -157,11 +151,11 @@ def mc_dropout_proba(
     clf: LinearClassifier,
     features: np.ndarray,
     samples: int,
-    rho: float,
     seed: int,
 ) -> np.ndarray:
     """Stacked probabilities under ``samples`` independent feature-dropout passes.
 
+    The ratio rho is the one the classifier was trained with, ``clf.dropout_rho``.
     Pass s keeps the entries where the s-th (n, d) draw of default_rng(seed).random
     is >= rho, scaled by 1/(1 - rho); drawing per pass gives the same stream as
     one random((samples, n, d)) draw, at n*d memory. Returns an array of shape
@@ -170,8 +164,9 @@ def mc_dropout_proba(
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != clf.dim:
         raise ValueError(f"expected features of width {clf.dim}, got shape {X.shape}")
+    rho = clf.dropout_rho
     if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must be in [0, 1)")
+        raise ValueError(f"the classifier's dropout_rho must be in [0, 1), got {rho}")
     rng = np.random.default_rng(seed)
     out = np.empty((samples, X.shape[0], clf.num_classes))
     for s in range(samples):

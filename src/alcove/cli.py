@@ -33,6 +33,19 @@ def _parse_seeds(text: str):
     return seeds
 
 
+def _parse_strategies(text: str):
+    """``--strategies``: a non-empty comma-separated list of distinct strategy kinds."""
+    kinds = tuple(k.strip() for k in text.split(",") if k.strip())
+    unknown = [k for k in kinds if k not in STRATEGY_KINDS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown strategy kind {unknown[0]!r}; choose from {', '.join(STRATEGY_KINDS)}"
+        )
+    if not kinds or len(set(kinds)) != len(kinds):
+        raise argparse.ArgumentTypeError(f"expected distinct comma-separated kinds, got {text!r}")
+    return kinds
+
+
 def _build_spec(kind: str, args) -> QuerySpec:
     # every QuerySpec field but kind is the dest of one query flag
     return QuerySpec(
@@ -40,15 +53,17 @@ def _build_spec(kind: str, args) -> QuerySpec:
     )
 
 
+def _build_train(args) -> TrainConfig:
+    return TrainConfig(dropout_rho=args.dropout_rho, epochs=args.epochs)
+
+
 def _build_config(args, spec: QuerySpec) -> RunConfig:
-    train_cfg = TrainConfig(dropout_rho=args.dropout_rho, epochs=args.epochs)
     return RunConfig(
         strategy=spec,
         iterations=args.iterations,
-        seeds=args.seeds,
         budget=args.budget,
         init=args.init,
-        train=train_cfg,
+        train=_build_train(args),
         semisupervised=args.semisup,
     )
 
@@ -61,7 +76,6 @@ def _records_to_rows(records):
             rows.append(
                 [rec.strategy, rec.seed, row.iteration, row.labeled_count, repr(row.accuracy), frac]
             )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return rows
 
 
@@ -116,18 +130,18 @@ def _read_records(path: Path):
     return records
 
 
-def _config_echo(command: str, args, spec_list, config: RunConfig) -> dict:
+def _config_echo(command: str, args, configs) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "data": args.data,
-        "strategies": [asdict(s) for s in spec_list],
-        "iterations": config.iterations,
-        "seeds": list(config.seeds),
-        "budget": config.budget,
-        "init": config.init,
-        "train": {k: v for k, v in asdict(config.train).items() if k != "sample_weights"},
-        "semisup": config.semisupervised,
+        "strategies": [asdict(c.strategy) for c in configs],
+        "iterations": args.iterations,
+        "seeds": list(args.seeds),
+        "budget": args.budget,
+        "init": args.init,
+        "train": asdict(_build_train(args)),
+        "semisup": args.semisup,
     }
 
 
@@ -138,11 +152,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _run_grid(args, spec_list, command: str) -> int:
+def _run_grid(args, kinds, command: str) -> int:
+    configs = [_build_config(args, _build_spec(kind, args)) for kind in kinds]
     dataset = load_dataset(args.data)
-    config = _build_config(args, spec_list[0])
-    bench = run_bench(dataset, spec_list, config)
-    echo = _config_echo(command, args, spec_list, config)
+    bench = run_bench(dataset, configs, args.seeds)
+    echo = _config_echo(command, args, configs)
     path = _write_results(Path(args.out), bench.records, echo, args.force)
     print(path)
     for sid, seed, message in bench.failures:
@@ -151,12 +165,11 @@ def _run_grid(args, spec_list, command: str) -> int:
 
 
 def cmd_run(args) -> int:
-    return _run_grid(args, [_build_spec(args.strategy, args)], "run")
+    return _run_grid(args, [args.strategy], "run")
 
 
 def cmd_bench(args) -> int:
-    kinds = [k.strip() for k in args.strategies.split(",") if k.strip()]
-    return _run_grid(args, [_build_spec(k, args) for k in kinds], "bench")
+    return _run_grid(args, args.strategies, "bench")
 
 
 def cmd_stats(args) -> int:
@@ -229,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a strategy grid")
     p_bench.add_argument("--data", required=True)
     p_bench.add_argument("--out", required=True)
-    p_bench.add_argument("--strategies", default=",".join(STRATEGY_KINDS))
+    p_bench.add_argument("--strategies", type=_parse_strategies, default=",".join(STRATEGY_KINDS),
+                         help="comma-separated distinct strategy kinds")
     _add_query_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -8,7 +8,7 @@ explicitly queried.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,11 +26,10 @@ INIT_MODES = ("random", "centroid", "own")
 
 @dataclass
 class RunConfig:
-    """One benchmark cell's settings (defaults follow the 20x5 protocol, B = C)."""
+    """One (strategy, settings) cell; run_al takes the seed (defaults: 20 iterations, B = C)."""
 
     strategy: QuerySpec
     iterations: int = 20
-    seeds: tuple = DEFAULT_SEEDS
     budget: Optional[int] = None  # None: one label per class per iteration
     init: str = "random"  # random | centroid | own
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -96,7 +95,7 @@ def _select_initial_pool(dataset, feats, train_sorted, config, b, seed, delta):
         return random_init(train_sorted, b, init_seed)
     if config.init == "centroid":
         return centroid_init(feats, train_sorted, b, init_seed)
-    clf = zero_classifier(dataset.num_classes, dataset.dim, config.train)
+    clf = zero_classifier(dataset.num_classes, dataset.dim, config.train.dropout_rho)
     res = query(
         config.strategy,
         feats,
@@ -153,14 +152,11 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
         if config.semisupervised:
             y_onehot = (y[:, None] == np.arange(dataset.num_classes)).astype(np.float64)
             prop = label_propagate(graph, y_onehot)
-            train_x = pool_x
-            train_y = np.argmax(prop.pseudo_probs, axis=1)
-            train_cfg = replace(config.train, sample_weights=prop.weights)
+            train_x, train_y, weights = pool_x, np.argmax(prop.pseudo_probs, axis=1), prop.weights
         else:
-            train_x = feats[labeled]
-            train_y = labeled_y
-            train_cfg = replace(config.train, sample_weights=None)
-        clf = train(train_x, train_y, dataset.num_classes, train_cfg, derive_seed(seed, f"train/{t}"))
+            train_x, train_y, weights = feats[labeled], labeled_y, None
+        t_seed = derive_seed(seed, f"train/{t}")
+        clf = train(train_x, train_y, dataset.num_classes, config.train, t_seed, weights)
         acc = evaluate(clf, dataset)
 
         if len(unlabeled) == 0:
@@ -195,18 +191,22 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
     return record
 
 
-def run_bench(dataset: EmbeddingDataset, strategies, config: RunConfig) -> BenchResult:
-    """Run the full strategies x seeds grid, one cell after another.
+def run_bench(dataset: EmbeddingDataset, configs, seeds=DEFAULT_SEEDS) -> BenchResult:
+    """Run the grid of ``configs`` (one per strategy id) x ``seeds``, one cell after another.
 
     A failing cell is reported without aborting the rest. Records come back
     sorted by (strategy, seed).
     """
+    ids = [config.strategy.strategy_id() for config in configs]
+    for sid in ids:
+        if ids.count(sid) > 1:
+            raise ValueError(f"configs repeat strategy id {sid!r}; give each strategy once")
     result = BenchResult()
-    for spec in strategies:
-        for s in config.seeds:
+    for sid, config in zip(ids, configs):
+        for s in seeds:
             try:
-                result.records.append(run_al(dataset, replace(config, strategy=spec), s))
+                result.records.append(run_al(dataset, config, s))
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                result.failures.append((spec.strategy_id(), s, f"{type(exc).__name__}: {exc}"))
+                result.failures.append((sid, s, f"{type(exc).__name__}: {exc}"))
     result.records.sort(key=lambda r: (r.strategy, r.seed))
     return result

@@ -47,10 +47,18 @@ def paired_t_stat(diffs) -> float:
 
 
 def _accuracy_table(records) -> dict:
-    """{seed: {iteration: accuracy}} for one strategy's records."""
+    """{seed: {iteration: accuracy}} for one strategy's records; a repeated
+    (seed, iteration), within one record or across two, is a ValueError."""
     table = {}
     for rec in records:
-        table[rec.seed] = {row.iteration: row.accuracy for row in rec.rows}
+        accs = table.setdefault(rec.seed, {})
+        for row in rec.rows:
+            if row.iteration in accs:
+                raise ValueError(
+                    f"repeated row: strategy {rec.strategy!r}, seed {rec.seed}, "
+                    f"iteration {row.iteration}"
+                )
+            accs[row.iteration] = row.accuracy
     return table
 
 

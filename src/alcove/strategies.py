@@ -36,7 +36,7 @@ class QuerySpec:
     """Strategy identifier plus its hyperparameters (defaults = benchmark protocol).
 
     The feature-dropout ratio is not one of them: bald, powerbald, inference
-    dropout and dropquery all use the classifier's ``train_config.dropout_rho``.
+    dropout and dropquery all use ``clf.dropout_rho``, the ratio of training.
     """
 
     kind: str
@@ -411,16 +411,15 @@ def dropquery(
     unlabeled,
     b: int,
     m: int = 3,
-    rho: float = 0.75,
     seed: int = 0,
     literal: bool = False,
 ) -> QueryResult:
     """Consistency-under-dropout query.
 
-    The base prediction uses no dropout; ``m`` feature-dropout passes (masks
-    seeded with ``seed`` through mc_dropout_proba) vote against it. A point
-    joins the candidate set when more than half of the passes disagree with
-    the base prediction. ``literal=True`` flips the predicate to keep the
+    The base prediction uses no dropout; ``m`` passes at ``clf.dropout_rho``
+    (masks seeded with ``seed`` through mc_dropout_proba) vote against it. A
+    point joins the candidate set when more than half of the passes disagree
+    with the base prediction. ``literal=True`` flips the predicate to keep the
     mostly-consistent points instead (the alternate reading, kept for audits).
 
     Candidates are clustered into B groups (kmeans seeded with ``seed``) and
@@ -437,7 +436,7 @@ def dropquery(
     U = X[unlabeled]
     base_probs = predict_proba(clf, U)
     base = np.argmax(base_probs, axis=1)
-    mc = mc_dropout_proba(clf, U, m, rho, seed)
+    mc = mc_dropout_proba(clf, U, m, seed)
     agree = (np.argmax(mc, axis=2) == base[None, :]).sum(axis=0)
     if literal:
         cand_mask = agree > 0.5 * m
@@ -476,11 +475,10 @@ class _Round(NamedTuple):
 def _scores(spec: QuerySpec, r: _Round) -> np.ndarray:
     """Acquisition scores of the unlabeled points, higher = query first."""
     U = r.features[r.unlabeled]
-    rho = r.clf.train_config.dropout_rho
     if spec.kind in ("bald", "powerbald"):
-        return score_bald(mc_dropout_proba(r.clf, U, spec.mc_samples, rho, derive_seed(r.seed, "mc")))
+        return score_bald(mc_dropout_proba(r.clf, U, spec.mc_samples, derive_seed(r.seed, "mc")))
     if spec.diversify and spec.inference_dropout:
-        probs = mc_dropout_proba(r.clf, U, 1, rho, derive_seed(r.seed, "inference-dropout"))[0]
+        probs = mc_dropout_proba(r.clf, U, 1, derive_seed(r.seed, "inference-dropout"))[0]
     else:
         probs = predict_proba(r.clf, U)
     scorer = {"uncertainty": score_uncertainty, "entropy": score_entropy, "margins": score_margin}
@@ -527,8 +525,7 @@ _STRATEGIES = {
     ),
     "probcover": _probcover,
     "dropquery": lambda spec, r: dropquery(
-        r.features, r.clf, r.unlabeled, r.b, spec.dq_m, r.clf.train_config.dropout_rho, r.seed,
-        spec.dq_literal,
+        r.features, r.clf, r.unlabeled, r.b, spec.dq_m, r.seed, spec.dq_literal
     ),
 }
 

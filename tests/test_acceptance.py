@@ -163,14 +163,16 @@ def test_criterion_4_dropquery_mechanics():
     for _ in range(10):
         n, d, c = int(rng.integers(5, 25)), int(rng.integers(2, 6)), int(rng.integers(2, 5))
         feats = rng.normal(size=(n, d))
-        clf = LinearClassifier(weights=rng.normal(size=(c, d)), bias=rng.normal(size=c))
-        res = dropquery(feats, clf, np.arange(n), 3, m=3, rho=0.0, seed=int(rng.integers(1000)))
+        clf = LinearClassifier(
+            weights=rng.normal(size=(c, d)), bias=rng.normal(size=c), dropout_rho=0.0
+        )
+        res = dropquery(feats, clf, np.arange(n), 3, m=3, seed=int(rng.integers(1000)))
         assert res.candidate_fraction == 0.0
 
     # (b) hand-built seeded-mask instance: point 0 is inconsistent under 2 of
     # 3 masks, point 1 under 1 of 3, so the prose rule selects exactly point 0
     feats = np.array([[1.0, 2.0], [2.0, 1.0]])
-    clf = LinearClassifier(weights=np.eye(2), bias=np.zeros(2))
+    clf = LinearClassifier(weights=np.eye(2), bias=np.zeros(2), dropout_rho=0.5)
     seed = 1
     masks = np.random.default_rng(seed).random((3, 2, 2)) >= 0.5
     flips = [0, 0]
@@ -179,11 +181,11 @@ def test_criterion_4_dropquery_mechanics():
             z = [feats[i, t] * masks[s, i, t] / 0.5 for t in range(2)]
             flips[i] += (0 if z[0] >= z[1] else 1) != (0 if feats[i, 0] >= feats[i, 1] else 1)
     assert flips == [2, 1]
-    res = dropquery(feats, clf, np.arange(2), 1, m=3, rho=0.5, seed=seed)
+    res = dropquery(feats, clf, np.arange(2), 1, m=3, seed=seed)
     assert res.selected.tolist() == [0]
 
     # (c) the literal algorithm-text predicate keeps the complement set
-    literal = dropquery(feats, clf, np.arange(2), 1, m=3, rho=0.5, seed=seed, literal=True)
+    literal = dropquery(feats, clf, np.arange(2), 1, m=3, seed=seed, literal=True)
     assert literal.selected.tolist() == [1]
 
     _pass(4, "rho=0 fraction 0; seeded-mask instance and literal-switch complement")
@@ -302,9 +304,9 @@ def test_criterion_7_significance():
 @pytest.fixture(scope="module")
 def bench_timing(blob_family):
     ds = blob_family[1]
-    config = RunConfig(strategy=QuerySpec("random"), iterations=20, seeds=RUN_SEEDS)
+    configs = [RunConfig(strategy=QuerySpec(kind), iterations=20) for kind in STRATEGY_KINDS]
     t0 = time.perf_counter()
-    bench = run_bench(ds, [QuerySpec(kind) for kind in STRATEGY_KINDS], config)
+    bench = run_bench(ds, configs, RUN_SEEDS)
     return bench, time.perf_counter() - t0
 
 

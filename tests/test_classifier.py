@@ -39,7 +39,7 @@ def test_single_active_sample_weight_dominates():
     y = np.array([0, 1, 2, 0, 1, 2])
     w = np.zeros(6)
     w[3] = 1.0
-    clf = train(X, y, 3, TrainConfig(dropout_rho=0.0, sample_weights=w), seed=0)
+    clf = train(X, y, 3, TrainConfig(dropout_rho=0.0), seed=0, sample_weights=w)
     probs = predict_proba(clf, X[3:4])
     assert int(np.argmax(probs)) == y[3]
     # closed-form direction: the lone example's class logit must dominate,
@@ -51,10 +51,37 @@ def test_single_active_sample_weight_dominates():
 def test_all_ones_weights_equal_unweighted_bitwise():
     rng = np.random.default_rng(2)
     X, y = rng.normal(size=(9, 3)), rng.integers(0, 2, 9)
-    a = train(X, y, 2, TrainConfig(sample_weights=np.ones(9)), seed=5)
-    b = train(X, y, 2, TrainConfig(sample_weights=None), seed=5)
+    a = train(X, y, 2, TrainConfig(), seed=5, sample_weights=np.ones(9))
+    b = train(X, y, 2, TrainConfig(), seed=5)
     assert a.weights.tobytes() == b.weights.tobytes()
     assert a.bias.tobytes() == b.bias.tobytes()
+
+
+class TestSampleWeights:
+    X = np.random.default_rng(3).normal(size=(6, 2))
+    y = np.array([0, 1, 0, 1, 0, 1])
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1), ()])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="sample_weights must be 6 "):
+            train(self.X, self.y, 2, TrainConfig(), seed=0, sample_weights=np.ones(shape))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="sample_weights must be 6 "):
+            train(self.X, self.y, 2, TrainConfig(), seed=0, sample_weights=[1, -1, 1, -1, 1, -1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        w = np.ones(6)
+        w[2] = bad
+        with pytest.raises(ValueError, match="sample_weights must be 6 "):
+            train(self.X, self.y, 2, TrainConfig(), seed=0, sample_weights=w)
+
+
+def test_classifier_carries_its_training_dropout_ratio():
+    X, y = np.eye(3), np.arange(3)
+    assert train(X, y, 3, TrainConfig(dropout_rho=0.3, epochs=2), seed=0).dropout_rho == 0.3
+    assert zero_classifier(3, 3, 0.4).dropout_rho == 0.4
 
 
 def test_missing_classes_do_not_crash():
@@ -67,7 +94,7 @@ def test_missing_classes_do_not_crash():
 
 class TestPredictProba:
     def test_zero_classifier_is_uniform(self):
-        clf = zero_classifier(4, 3)
+        clf = zero_classifier(4, 3, 0.75)
         probs = predict_proba(clf, np.random.default_rng(0).normal(size=(5, 3)))
         assert np.allclose(probs, 0.25)
 
@@ -88,7 +115,7 @@ class TestPredictProba:
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            predict_proba(zero_classifier(2, 3), np.zeros((2, 4)))
+            predict_proba(zero_classifier(2, 3, 0.75), np.zeros((2, 4)))
 
 
 @pytest.mark.parametrize("rho", [-0.1, 1.0, 1.5])
@@ -100,27 +127,37 @@ def test_dropout_ratio_outside_unit_interval_rejected(rho):
 class TestMcDropout:
     def test_rho_zero_identity(self):
         rng = np.random.default_rng(4)
-        clf = LinearClassifier(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
+        clf = LinearClassifier(
+            weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3), dropout_rho=0.0
+        )
         X = rng.normal(size=(6, 4))
-        stack = mc_dropout_proba(clf, X, 5, rho=0.0, seed=0)
+        stack = mc_dropout_proba(clf, X, 5, seed=0)
         base = predict_proba(clf, X)
         for s in range(5):
             assert np.array_equal(stack[s], base)
+
+    @pytest.mark.parametrize("rho", [-0.1, 1.0])
+    def test_classifier_ratio_outside_unit_interval_rejected(self, rho):
+        clf = LinearClassifier(weights=np.eye(2), bias=np.zeros(2), dropout_rho=rho)
+        with pytest.raises(ValueError, match="dropout_rho"):
+            mc_dropout_proba(clf, np.eye(2), 2, seed=0)
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(5)
         clf = LinearClassifier(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
         X = rng.normal(size=(6, 4))
-        a = mc_dropout_proba(clf, X, 7, rho=0.75, seed=11)
-        b = mc_dropout_proba(clf, X, 7, rho=0.75, seed=11)
+        a = mc_dropout_proba(clf, X, 7, seed=11)
+        b = mc_dropout_proba(clf, X, 7, seed=11)
         assert a.tobytes() == b.tobytes()
 
     def test_masks_replay_through_scalar_computation(self):
         # hand-built classifier, d=2, C=2; replay the documented mask draw
-        clf = LinearClassifier(weights=np.array([[2.0, -1.0], [0.5, 1.5]]), bias=np.array([0.1, -0.2]))
-        X = np.array([[1.0, 2.0], [-1.0, 0.5], [0.3, -0.7]])
         rho, samples, seed = 0.5, 4, 123
-        stack = mc_dropout_proba(clf, X, samples, rho, seed)
+        clf = LinearClassifier(
+            weights=np.array([[2.0, -1.0], [0.5, 1.5]]), bias=np.array([0.1, -0.2]), dropout_rho=rho
+        )
+        X = np.array([[1.0, 2.0], [-1.0, 0.5], [0.3, -0.7]])
+        stack = mc_dropout_proba(clf, X, samples, seed)
         masks = np.random.default_rng(seed).random((samples, 3, 2)) >= rho
         for s in range(samples):
             for i in range(3):

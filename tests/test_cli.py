@@ -144,12 +144,18 @@ class TestBench:
         )
         assert len(read_records(out)) == 1 + 5
 
-    def test_unknown_strategy_rejected(self, dataset_dir, tmp_path):
-        code = run_cli(
-            "bench", "--data", str(dataset_dir), "--out", str(tmp_path / "res"),
-            "--strategies", "random,mystery",
-        )
-        assert code == 1
+    @pytest.mark.parametrize(
+        "kinds", ["random,mystery", "random,random", "margins,random,margins", ",", ""]
+    )
+    def test_bad_strategy_lists_are_usage_errors(self, dataset_dir, tmp_path, kinds):
+        out = tmp_path / "res"
+        with pytest.raises(SystemExit) as err:
+            run_cli(
+                "bench", "--data", str(dataset_dir), "--out", str(out),
+                "--strategies", kinds, "--seeds", "1", "--iterations", "1",
+            )
+        assert err.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["1,1", "1,10,1", ",", "", "1,x"])
     def test_bad_seed_lists_are_usage_errors(self, dataset_dir, tmp_path, seeds):
@@ -218,3 +224,18 @@ class TestStats:
         kept = [l for l in lines if not l.startswith("random,10,")]
         path.write_text("\n".join(kept) + "\n")
         assert run_cli("stats", str(res), "--out", str(tmp_path / "wm")) == 1
+
+    def test_repeated_rows_rejected_before_writing(self, dataset_dir, tmp_path, capsys):
+        res = self.make_results(dataset_dir, tmp_path, "res")
+        path = res / "records.csv"
+        copies = []
+        for line in path.read_text().splitlines():
+            if line.startswith("margins,1,"):
+                fields_ = line.split(",")
+                fields_[4] = "1.0"  # a changed accuracy
+                copies.append(",".join(fields_))
+        path.write_text(path.read_text() + "\n".join(copies) + "\n")
+        out = tmp_path / "wm"
+        assert run_cli("stats", str(res), "--out", str(out)) == 1
+        assert "strategy 'margins', seed 1, iteration 1" in capsys.readouterr().err
+        assert not out.exists()

@@ -163,20 +163,19 @@ class TestRunConfig:
 class TestRunBench:
     def test_single_cell_equals_run_al(self):
         ds = small_dataset()
-        cfg = RunConfig(
-            strategy=QuerySpec("margins"), iterations=2, seeds=(7,), train=fast_train()
-        )
-        bench = run_bench(ds, [QuerySpec("margins")], cfg)
+        cfg = RunConfig(strategy=QuerySpec("margins"), iterations=2, train=fast_train())
+        bench = run_bench(ds, [cfg], seeds=(7,))
         direct = run_al(ds, cfg, seed=7)
         assert len(bench.records) == 1
         assert [r.accuracy for r in bench.records[0].rows] == [r.accuracy for r in direct.rows]
 
     def test_grid_shape_and_order(self):
         ds = small_dataset()
-        cfg = RunConfig(
-            strategy=QuerySpec("random"), iterations=1, seeds=(2, 1), train=fast_train()
-        )
-        bench = run_bench(ds, [QuerySpec("random"), QuerySpec("entropy")], cfg)
+        configs = [
+            RunConfig(strategy=QuerySpec(kind), iterations=1, train=fast_train())
+            for kind in ("random", "entropy")
+        ]
+        bench = run_bench(ds, configs, seeds=(2, 1))
         assert len(bench.records) == 4
         assert [(r.strategy, r.seed) for r in bench.records] == [
             ("entropy", 1),
@@ -185,16 +184,22 @@ class TestRunBench:
             ("random", 2),
         ]
 
+    def test_repeated_strategy_id_rejected(self):
+        # two settings of one diversified kind share the id margins_div
+        configs = [
+            RunConfig(strategy=QuerySpec("margins", diversify=True, mc_samples=m), iterations=1)
+            for m in (5, 20)
+        ]
+        with pytest.raises(ValueError, match="'margins_div'"):
+            run_bench(small_dataset(), configs, seeds=(1,))
+
     def test_cell_failure_does_not_abort_grid(self):
         ds = small_dataset()
-        cfg = RunConfig(
-            strategy=QuerySpec("random"),
-            iterations=1,
-            seeds=(3,),
-            init="own",
-            train=fast_train(),
-        )
-        bench = run_bench(ds, [QuerySpec("alfamix"), QuerySpec("random")], cfg)
+        configs = [
+            RunConfig(strategy=QuerySpec(kind), iterations=1, init="own", train=fast_train())
+            for kind in ("alfamix", "random")
+        ]
+        bench = run_bench(ds, configs, seeds=(3,))
         assert len(bench.records) == 1
         assert bench.records[0].strategy == "random"
         assert len(bench.failures) == 1

@@ -1,0 +1,37 @@
+"""The benchmark's tracing patches alcove by attribute name; this installs its
+Capture and Tracer on the alcove modules and undoes them, so a rename that
+drops a patched name fails here rather than in a benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import alcove
+import alcove.cli  # noqa: F401  (tracing looks the submodules up by name)
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_capture_and_tracer_install_and_undo():
+    tracing = load_tracing()
+    modules = tracing.alcove_modules()
+    oracle = alcove.harness.LabelOracle
+    before = [dict(vars(m)) for m in modules] + [dict(vars(oracle))]
+    traced = set(tracing.public_functions(modules).values())
+    # every span the benchmark counts or measures names a public function
+    assert set(tracing.COUNTERS) | set(tracing.MEMORY_SPANS) <= traced
+
+    patch = tracing.Patch()
+    try:
+        tracing.Capture().install(patch, modules)
+        tracing.Tracer().install(patch, modules)
+        assert alcove.cli.run_bench is not before[-2]["run_bench"]
+    finally:
+        patch.undo()
+    assert [dict(vars(m)) for m in modules] + [dict(vars(oracle))] == before

@@ -87,6 +87,19 @@ class TestWinFraction:
         with pytest.raises(ValueError):
             win_fraction(a, b, 1)
 
+    def test_repeated_row_in_one_record_rejected(self):
+        a = make_records("a", {s: [0.5, 0.6] for s in (1, 2, 3, 4, 5)})
+        b = make_records("b", {s: [0.5, 0.6] for s in (1, 2, 3, 4, 5)})
+        a[0].rows.append(IterationRow(iteration=2, labeled_count=2, accuracy=0.9))
+        with pytest.raises(ValueError, match="strategy 'a', seed 1, iteration 2"):
+            win_fraction(a, b, 2)
+
+    def test_repeated_seed_across_two_records_rejected(self):
+        a = make_records("a", {s: [0.5, 0.6] for s in (1, 2, 3, 4, 5)})
+        b = make_records("b", {s: [0.5, 0.6] for s in (1, 2, 3, 4, 5)})
+        with pytest.raises(ValueError, match="strategy 'b', seed 3, iteration 1"):
+            win_fraction(a, b + make_records("b", {3: [0.9, 0.9]}), 2)
+
     def test_never_both_positive_at_same_iteration(self):
         rng = np.random.default_rng(2)
         for _ in range(30):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from alcove.classifier import (
     LinearClassifier,
-    TrainConfig,
     mc_dropout_proba,
     predict_proba,
     zero_classifier,
@@ -317,12 +317,12 @@ class TestAlfaMix:
     def test_no_anchors_raises(self):
         feats = np.zeros((4, 2))
         with pytest.raises(StrategyUnavailable):
-            query_alfamix(feats, zero_classifier(2, 2), [], [], [0, 1, 2, 3], 2, 0.2, 0)
+            query_alfamix(feats, zero_classifier(2, 2, 0.75), [], [], [0, 1, 2, 3], 2, 0.2, 0)
 
     def test_zero_weight_classifier_falls_back_to_smallest_indices(self):
         rng = np.random.default_rng(12)
         feats = rng.normal(size=(10, 3))
-        got = query_alfamix(feats, zero_classifier(2, 3), [8, 9], [0, 1], np.arange(8), 3, 0.2, 0)
+        got = query_alfamix(feats, zero_classifier(2, 3, 0.75), [8, 9], [0, 1], np.arange(8), 3, 0.2, 0)
         assert got.tolist() == [0, 1, 2]  # uniform probs: entropy ties, smallest indices
 
     def test_eps_zero_never_flips(self):
@@ -558,8 +558,8 @@ class TestDropQuery:
     def test_rho_zero_candidate_fraction_zero(self):
         rng = np.random.default_rng(23)
         feats = rng.normal(size=(20, 4))
-        clf = random_clf(rng, 3, 4)
-        res = dropquery(feats, clf, np.arange(20), 5, m=3, rho=0.0, seed=0)
+        clf = replace(random_clf(rng, 3, 4), dropout_rho=0.0)
+        res = dropquery(feats, clf, np.arange(20), 5, m=3, seed=0)
         assert res.candidate_fraction == 0.0
         assert len(res.selected) == 5
 
@@ -575,7 +575,7 @@ class TestDropQuery:
         for seed in range(50):
             masks = np.random.default_rng(seed).random((3, 2, 1)) >= 0.75
             if not masks[:, 0, 0].any():  # feature dropped in all 3 passes
-                res = dropquery(feats, clf, np.arange(2), 1, m=3, rho=0.75, seed=seed)
+                res = dropquery(feats, clf, np.arange(2), 1, m=3, seed=seed)
                 assert res.candidate_fraction >= 0.5
                 assert 0 in res.selected.tolist()
                 found = True
@@ -588,7 +588,7 @@ class TestDropQuery:
         # flip counts (2, 1), so the prose rule selects A and the literal
         # algorithm-text rule selects the complement {B}.
         feats = np.array([[1.0, 2.0], [2.0, 1.0]])
-        clf = LinearClassifier(weights=np.eye(2), bias=np.zeros(2))
+        clf = LinearClassifier(weights=np.eye(2), bias=np.zeros(2), dropout_rho=0.5)
         seed = 1
 
         # replay the documented mask draw through scalar forward passes
@@ -602,11 +602,11 @@ class TestDropQuery:
                 flips[i] += pred != base
         assert flips == [2, 1]
 
-        res = dropquery(feats, clf, np.arange(2), 1, m=3, rho=0.5, seed=seed)
+        res = dropquery(feats, clf, np.arange(2), 1, m=3, seed=seed)
         assert res.selected.tolist() == [0]
         assert res.candidate_fraction == 0.5
 
-        literal = dropquery(feats, clf, np.arange(2), 1, m=3, rho=0.5, seed=seed, literal=True)
+        literal = dropquery(feats, clf, np.arange(2), 1, m=3, seed=seed, literal=True)
         assert literal.selected.tolist() == [1]
 
     def test_empty_candidates_fall_back_to_margin_diversified(self):
@@ -614,8 +614,8 @@ class TestDropQuery:
         blob_a = rng.normal(size=(10, 2)) * 0.1
         blob_b = rng.normal(size=(10, 2)) * 0.1 + 25
         feats = np.vstack([blob_a, blob_b])
-        clf = zero_classifier(2, 2)  # uniform probs everywhere -> no inconsistency
-        res = dropquery(feats, clf, np.arange(20), 2, m=3, rho=0.75, seed=0)
+        clf = zero_classifier(2, 2, 0.75)  # uniform probs everywhere -> no inconsistency
+        res = dropquery(feats, clf, np.arange(20), 2, m=3, seed=0)
         assert res.candidate_fraction == 0.0
         # centroid-style diversity: one pick per blob
         assert len({int(i) // 10 for i in res.selected}) == 2
@@ -632,12 +632,14 @@ class TestDropQuery:
     def test_partial_candidate_set_pads_in_margin_order(self):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(24, 3))
-        clf = LinearClassifier(weights=rng.normal(size=(3, 3)) * 3, bias=np.zeros(3))
-        unl, b, m, rho, seed = np.arange(24), 5, 3, 0.3, 7
-        res = dropquery(feats, clf, unl, b, m=m, rho=rho, seed=seed)
+        clf = LinearClassifier(
+            weights=rng.normal(size=(3, 3)) * 3, bias=np.zeros(3), dropout_rho=0.3
+        )
+        unl, b, m, seed = np.arange(24), 5, 3, 7
+        res = dropquery(feats, clf, unl, b, m=m, seed=seed)
 
         probs = predict_proba(clf, feats)
-        mc = mc_dropout_proba(clf, feats, m, rho, seed)
+        mc = mc_dropout_proba(clf, feats, m, seed)
         disagree = (np.argmax(mc, axis=2) != np.argmax(probs, axis=1)).sum(axis=0)
         cands = unl[disagree > 0.5 * m]
         assert 0 < len(cands) < b
@@ -675,9 +677,7 @@ ALL_KINDS = (
 def test_every_strategy_is_budget_exact_and_deterministic(kind):
     rng = np.random.default_rng(26)
     feats = rng.normal(size=(40, 4))
-    clf = LinearClassifier(
-        weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3), train_config=TrainConfig()
-    )
+    clf = LinearClassifier(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
     labeled = np.array([0, 13, 26])
     labeled_labels = np.array([0, 1, 2])
     unlabeled = np.array([i for i in range(40) if i not in labeled.tolist()])
@@ -695,9 +695,7 @@ def test_every_strategy_is_budget_exact_and_deterministic(kind):
 def test_diversified_variants_also_budget_exact():
     rng = np.random.default_rng(27)
     feats = rng.normal(size=(40, 4))
-    clf = LinearClassifier(
-        weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3), train_config=TrainConfig()
-    )
+    clf = LinearClassifier(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
     unlabeled = np.arange(40)
     for kind in ("uncertainty", "entropy", "margins", "bald"):
         for drop in (False, True):
