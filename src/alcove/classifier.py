@@ -12,6 +12,8 @@ import numpy as np
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# bytes of float32 dropout draws a batched fit holds at once
+MASK_BLOCK_BYTES = 4 << 20
 
 
 class TrainingDiverged(RuntimeError):
@@ -86,45 +88,104 @@ def train(
     normalized to sum to 1. Classes absent from ``labels`` simply receive no
     positive gradient. Deterministic in seed.
 
-    The hot loop works on a parameter matrix with the bias folded in as a
-    constant-1 column; the math matches the reference loss and gradient
-    ``cross_entropy_loss_and_grad`` in ``tests/oracles.py``.
+    This is ``train_batch`` over one cell; its error is raised.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    n, d = X.shape
-    rho = config.dropout_rho
-    rng = np.random.default_rng(seed)
+    X = np.asarray(features, dtype=np.float64)[None]
+    y = np.asarray(labels, dtype=np.int64)[None]
+    (result,) = train_batch(X, y, num_classes, config, [seed], [sample_weights])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
+
+def _normalized_weights(sample_weights, n: int) -> np.ndarray:
     w = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
     if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError(f"sample_weights must be {n} finite, non-negative values, one per row")
     total = w.sum()
-    wn = w / total if total > 0 else w
-    gather = (np.arange(n), y)
+    return w / total if total > 0 else w
+
+
+def train_batch(
+    features,
+    labels,
+    num_classes: int,
+    config: TrainConfig,
+    seeds,
+    sample_weights=None,
+) -> list:
+    """``train`` over K cells of one shape, fit side by side.
+
+    ``features`` holds K (n, d) matrices, ``labels`` K label vectors,
+    ``seeds`` K seeds and ``sample_weights`` (None: all equal) K weight
+    vectors, each of which may be None. Returns one entry per cell: its
+    ``LinearClassifier``, or the error a solo ``train`` of that cell raises
+    (a ``ValueError`` for bad weights, ``TrainingDiverged`` at the same
+    epoch). A cell that fails drops out and the others keep training; every
+    cell's result is bit-identical to its solo fit.
+
+    Cell k draws its masks from its own default_rng(seeds[k]) into a shared
+    float32 buffer, ``MASK_BLOCK_BYTES`` worth of epochs at a time; one draw
+    of E epochs gives the same masks as E draws of one. The hot loop works on
+    a parameter matrix per cell with the bias folded in as a constant-1
+    column; the math matches the reference loss and gradient
+    ``cross_entropy_loss_and_grad`` in ``tests/oracles.py``.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    Y = np.asarray(labels, dtype=np.int64)
+    k_cells, n, d = X.shape
+    rho = config.dropout_rho
+    results = [None] * k_cells
+    wn = np.empty((k_cells, n))
+    for k, w in enumerate([None] * k_cells if sample_weights is None else sample_weights):
+        try:
+            wn[k] = _normalized_weights(w, n)
+        except ValueError as exc:
+            results[k] = exc
+    cells = np.array([k for k, r in enumerate(results) if r is None], dtype=np.int64)
+    if len(cells) < k_cells:
+        X, Y, wn = X[cells], Y[cells], wn[cells]
+    rngs = [np.random.default_rng(seeds[k]) for k in cells]
     tiny = np.finfo(np.float64).tiny
 
     X_scaled = X / (1.0 - rho)
-    aug = np.ones((n, d + 1))
-    params = np.zeros((num_classes, d + 1))
+    aug = np.ones((len(cells), n, d + 1))
+    params = np.zeros((len(cells), num_classes, d + 1))
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     lr, wd = config.learning_rate, config.weight_decay
+    block = min(config.epochs, max(1, MASK_BLOCK_BYTES // max(1, 4 * len(cells) * n * d)))
+    buf = np.empty((len(cells), block, n, d), dtype=np.float32)
+    hit = _flat_targets(Y, num_classes)
 
     for epoch in range(1, config.epochs + 1):
-        mask = rng.random((n, d), dtype=np.float32) >= rho
-        np.multiply(X_scaled, mask, out=aug[:, :d])
-        probs = aug @ params.T
-        probs -= probs.max(axis=1, keepdims=True)
+        if not len(cells):
+            break
+        e = (epoch - 1) % block
+        if e == 0:
+            for k, rng in enumerate(rngs):
+                rng.random(dtype=np.float32, out=buf[k, : min(block, config.epochs - epoch + 1)])
+            keep = buf[: len(cells)] >= rho
+        np.multiply(X_scaled, keep[:, e], out=aug[:, :, :d])
+        probs = aug @ params.transpose(0, 2, 1)
+        # the row max, taken over a class-major copy: same values, far fewer strided reductions
+        probs -= probs.transpose(0, 2, 1).copy().max(axis=1)[:, :, None]
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
-        loss = -float(wn @ np.log(np.maximum(probs[gather], tiny)))
-        if not np.isfinite(loss):
-            raise TrainingDiverged(epoch)
+        probs /= probs.sum(axis=2, keepdims=True)
+        flat = probs.reshape(-1)
+        loss = -np.einsum("kn,kn->k", wn, np.log(np.maximum(flat[hit], tiny)))
+        ok = np.isfinite(loss)
+        if not ok.all():
+            for k in cells[~ok]:
+                results[k] = TrainingDiverged(epoch)
+            cells, rngs = cells[ok], [rng for rng, alive in zip(rngs, ok) if alive]
+            X_scaled, Y, wn, aug, keep = X_scaled[ok], Y[ok], wn[ok], aug[ok], keep[ok]
+            params, m, v, probs = params[ok], m[ok], v[ok], probs[ok]
+            hit, flat = _flat_targets(Y, num_classes), probs.reshape(-1)
 
-        probs[gather] -= 1.0
-        probs *= wn[:, None]
-        grad = probs.T @ aug
+        flat[hit] -= 1.0
+        probs *= wn[:, :, None]
+        grad = probs.transpose(0, 2, 1) @ aug
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * grad
         v *= ADAM_BETA2
@@ -134,9 +195,18 @@ def train(
         )
         params -= lr * step + lr * wd * params
 
-    if not np.all(np.isfinite(params)):
-        raise TrainingDiverged(config.epochs)
-    return LinearClassifier(params[:, :d].copy(), params[:, d].copy(), rho)
+    for k, p in zip(cells, params):
+        if np.all(np.isfinite(p)):
+            results[k] = LinearClassifier(p[:, :d].copy(), p[:, d].copy(), rho)
+        else:
+            results[k] = TrainingDiverged(config.epochs)
+    return results
+
+
+def _flat_targets(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Flat positions of each row's label in a (K, n, C) probability stack."""
+    k_cells, n = labels.shape
+    return (np.arange(k_cells)[:, None] * n + np.arange(n)) * num_classes + labels
 
 
 def predict_proba(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:

@@ -5,15 +5,21 @@ Every source of randomness is a stream derived from (run seed, purpose tag),
 so two runs of the same cell are bit-identical and adding a strategy never
 perturbs another's draws. Labels stay hidden behind an auditing oracle until
 explicitly queried.
+
+A cell is one (strategy, seed) trajectory. ``start`` sets it up and each
+round is cut at its fit: ``training_inputs`` gives what to train on, and
+``finish_round`` evaluates the fitted head, queries and reveals. ``run_al``
+drives one cell; ``run_bench`` drives a grid's cells in lockstep and fits
+each round's heads together with ``train_batch``.
 """
 
-import time
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import defaultdict
+from dataclasses import astuple, dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .classifier import TrainConfig, evaluate, train, zero_classifier
+from .classifier import TrainConfig, evaluate, train, train_batch, zero_classifier
 from .dataset_io import EmbeddingDataset
 from .initpool import centroid_init, random_init
 from .rng import derive_seed
@@ -44,13 +50,17 @@ class RunConfig:
             raise ValueError(f"unknown init mode {self.init!r} (expected {'|'.join(INIT_MODES)})")
 
 
+# the most bytes one batched fit of a grid round may hold; a cell's share is
+# taken as 32 bytes (four float64 copies) per value of its n x (d + 1 + C) inputs
+FIT_BATCH_BYTES = 16 << 20
+
+
 @dataclass
 class IterationRow:
     iteration: int
     labeled_count: int
     accuracy: float
     candidate_fraction: Optional[float] = None
-    wall_time: float = 0.0
     truncated: bool = False
 
 
@@ -73,140 +83,277 @@ class LabelOracle:
 
     def __init__(self, labels: np.ndarray, train_indices: np.ndarray):
         self._labels = np.asarray(labels, dtype=np.int64)
-        self._allowed = set(np.asarray(train_indices, dtype=np.int64).tolist())
-        self._revealed = set()
+        # 0: not in the train pool, 1: hidden, 2: revealed
+        self._state = np.zeros(len(self._labels), dtype=np.int8)
+        self._state[np.asarray(train_indices, dtype=np.int64)] = 1
         self.access_count = 0
 
     def reveal(self, indices) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
+        state = self._state
         for i in indices.tolist():
-            if i not in self._allowed:
+            if not 0 <= i < len(state) or state[i] == 0:
                 raise KeyError(f"index {i} is not in the train pool")
-            if i in self._revealed:
+            if state[i] == 2:
                 raise RuntimeError(f"index {i} was already queried")
-            self._revealed.add(i)
+            state[i] = 2
         self.access_count += len(indices)
         return self._labels[indices]
 
 
-def _select_initial_pool(dataset, feats, train_sorted, config, b, seed, delta):
-    init_seed = derive_seed(seed, "init")
-    if config.init == "random":
-        return random_init(train_sorted, b, init_seed)
-    if config.init == "centroid":
-        return centroid_init(feats, train_sorted, b, init_seed)
-    clf = zero_classifier(dataset.num_classes, dataset.dim, config.train.dropout_rho)
-    res = query(
-        config.strategy,
-        feats,
-        clf,
-        labeled=np.empty(0, dtype=np.int64),
-        labeled_labels=np.empty(0, dtype=np.int64),
-        unlabeled=train_sorted,
-        b=b,
-        seed=init_seed,
-        delta=delta,
-    )
-    return res.selected
+@dataclass
+class GridInputs:
+    """What the cells of a grid on one dataset share and only read.
 
-
-def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord:
-    """Simulate one (strategy, seed) active-learning trajectory.
-
-    Row t reports the model trained on |initial| + (t-1)*B labels, evaluated
-    before that iteration's query. If the pool empties before T rounds the
-    final row is flagged truncated and the record stops there.
+    ``start`` adds the kNN graph when the first semisupervised cell starts,
+    and a random or centroid cold start when the first cell with its
+    (init, B, seed) starts: neither depends on anything else.
     """
-    b = config.budget or dataset.num_classes
-    feats = np.asarray(dataset.features, dtype=np.float64)
-    train_sorted = np.sort(dataset.train_indices)
-    oracle = LabelOracle(dataset.labels, train_sorted)
 
+    features: np.ndarray  # float64, every point
+    pool: np.ndarray  # the train indices, sorted
+    pool_features: np.ndarray  # features[pool]
+    graph: object = None  # kNN graph over pool_features
+    cold_starts: dict = field(default_factory=dict)  # (init, B, seed) -> initial pool
+
+
+def grid_inputs(dataset: EmbeddingDataset) -> GridInputs:
+    features = np.asarray(dataset.features, dtype=np.float64)
+    pool = np.sort(dataset.train_indices)
+    return GridInputs(features, pool, features[pool])
+
+
+@dataclass
+class Cell:
+    """One (strategy, seed) trajectory between rounds."""
+
+    dataset: EmbeddingDataset
+    config: RunConfig
+    inputs: GridInputs
+    b: int
+    oracle: LabelOracle
+    labels: np.ndarray  # the label of each pool point, -1 while unlabeled
+    delta: Optional[float]
+    record: RunRecord
+    iteration: int = 1
+    done: bool = False
+
+    def reveal(self, indices):
+        self.labels[np.searchsorted(self.inputs.pool, indices)] = self.oracle.reveal(indices)
+        self.record.oracle_accesses = self.oracle.access_count
+
+    def fit_rows(self) -> int:
+        """Rows of this round's fit: the labeled points, or the whole pool if semisupervised."""
+        if self.config.semisupervised:
+            return len(self.labels)
+        return int(np.count_nonzero(self.labels >= 0))
+
+    def split(self):
+        """(labeled indices, their labels, unlabeled indices), all in pool order."""
+        is_labeled = self.labels >= 0
+        pool = self.inputs.pool
+        return pool[is_labeled], self.labels[is_labeled], pool[~is_labeled]
+
+
+class Fit(NamedTuple):
+    """One round's training inputs for ``train``."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    seed: int
+    weights: Optional[np.ndarray]
+
+
+def start(
+    dataset: EmbeddingDataset, config: RunConfig, seed: int, inputs: Optional[GridInputs] = None
+) -> Cell:
+    """Set up one cell and reveal its initial pool; ``inputs`` (None: built here) are shared."""
+    inputs = grid_inputs(dataset) if inputs is None else inputs
+    if config.semisupervised and inputs.graph is None:
+        inputs.graph = build_knn_graph(inputs.pool_features)
+    b = config.budget or dataset.num_classes
     delta = None
     if config.strategy.kind == "probcover":
         delta = estimate_delta(
-            feats[train_sorted],
+            inputs.pool_features,
             dataset.num_classes,
             config.strategy.probcover_purity,
             derive_seed(seed, "probcover/delta"),
         )
-
-    # the label of each sorted train point, -1 while unlabeled
-    y = np.full(len(train_sorted), -1, dtype=np.int64)
-
-    def reveal(indices):
-        y[np.searchsorted(train_sorted, indices)] = oracle.reveal(indices)
-
-    reveal(_select_initial_pool(dataset, feats, train_sorted, config, b, seed, delta))
-
-    if config.semisupervised:
-        pool_x = feats[train_sorted]
-        graph = build_knn_graph(pool_x)
-
-    record = RunRecord(strategy=config.strategy.strategy_id(), seed=seed)
-    for t in range(1, config.iterations + 1):
-        t0 = time.perf_counter()
-        is_labeled = y >= 0
-        labeled, labeled_y = train_sorted[is_labeled], y[is_labeled]
-        unlabeled = train_sorted[~is_labeled]
-        if config.semisupervised:
-            y_onehot = (y[:, None] == np.arange(dataset.num_classes)).astype(np.float64)
-            prop = label_propagate(graph, y_onehot)
-            train_x, train_y, weights = pool_x, np.argmax(prop.pseudo_probs, axis=1), prop.weights
-        else:
-            train_x, train_y, weights = feats[labeled], labeled_y, None
-        t_seed = derive_seed(seed, f"train/{t}")
-        clf = train(train_x, train_y, dataset.num_classes, config.train, t_seed, weights)
-        acc = evaluate(clf, dataset)
-
-        if len(unlabeled) == 0:
-            record.rows.append(
-                IterationRow(t, len(labeled), acc, wall_time=time.perf_counter() - t0, truncated=True)
-            )
-            break
-
-        res = query(
+    cell = Cell(
+        dataset,
+        config,
+        inputs,
+        b,
+        LabelOracle(dataset.labels, inputs.pool),
+        np.full(len(inputs.pool), -1, dtype=np.int64),
+        delta,
+        RunRecord(strategy=config.strategy.strategy_id(), seed=seed),
+    )
+    if config.init == "own":
+        clf = zero_classifier(dataset.num_classes, dataset.dim, config.train.dropout_rho)
+        initial = query(
             config.strategy,
-            feats,
+            inputs.features,
             clf,
-            labeled=labeled,
-            labeled_labels=labeled_y,
-            unlabeled=unlabeled,
+            labeled=np.empty(0, dtype=np.int64),
+            labeled_labels=np.empty(0, dtype=np.int64),
+            unlabeled=inputs.pool,
             b=b,
-            seed=derive_seed(seed, f"query/{t}"),
+            seed=derive_seed(seed, "init"),
             delta=delta,
-        )
-        reveal(res.selected)
-        record.rows.append(
-            IterationRow(
-                t,
-                len(labeled),
-                acc,
-                candidate_fraction=res.candidate_fraction,
-                wall_time=time.perf_counter() - t0,
+        ).selected
+    else:
+        key = (config.init, b, seed)
+        if key not in inputs.cold_starts:
+            init_seed = derive_seed(seed, "init")
+            inputs.cold_starts[key] = (
+                random_init(inputs.pool, b, init_seed)
+                if config.init == "random"
+                else centroid_init(inputs.features, inputs.pool, b, init_seed)
             )
-        )
+        initial = inputs.cold_starts[key]
+    cell.reveal(initial)
+    return cell
 
-    record.oracle_accesses = oracle.access_count
-    return record
+
+def training_inputs(cell: Cell) -> Fit:
+    """This round's fit: the labeled points, or the whole pool with propagated labels."""
+    seed = derive_seed(cell.record.seed, f"train/{cell.iteration}")
+    if cell.config.semisupervised:
+        onehot = cell.labels[:, None] == np.arange(cell.dataset.num_classes)
+        prop = label_propagate(cell.inputs.graph, onehot.astype(np.float64))
+        pseudo = np.argmax(prop.pseudo_probs, axis=1)
+        return Fit(cell.inputs.pool_features, pseudo, seed, prop.weights)
+    labeled, labeled_y, _ = cell.split()
+    return Fit(cell.inputs.features[labeled], labeled_y, seed, None)
+
+
+def finish_round(cell: Cell, clf) -> None:
+    """Evaluate this round's head, then query and reveal, or stop on an empty pool.
+
+    Row t reports the model trained on |initial| + (t-1)*B labels, evaluated
+    before that iteration's query. If the pool empties before T rounds the
+    final row is flagged truncated and the cell is done.
+    """
+    labeled, labeled_y, unlabeled = cell.split()
+    acc = evaluate(clf, cell.dataset)
+    t = cell.iteration
+    if len(unlabeled) == 0:
+        cell.record.rows.append(IterationRow(t, len(labeled), acc, truncated=True))
+        cell.done = True
+        return
+    res = query(
+        cell.config.strategy,
+        cell.inputs.features,
+        clf,
+        labeled=labeled,
+        labeled_labels=labeled_y,
+        unlabeled=unlabeled,
+        b=cell.b,
+        seed=derive_seed(cell.record.seed, f"query/{t}"),
+        delta=cell.delta,
+    )
+    cell.reveal(res.selected)
+    cell.record.rows.append(IterationRow(t, len(labeled), acc, res.candidate_fraction))
+    cell.iteration += 1
+    cell.done = cell.iteration > cell.config.iterations
+
+
+def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord:
+    """Simulate one (strategy, seed) active-learning trajectory, one round at a time."""
+    cell = start(dataset, config, seed)
+    while not cell.done:
+        x, y, fit_seed, weights = training_inputs(cell)
+        finish_round(cell, train(x, y, dataset.num_classes, config.train, fit_seed, weights))
+    return cell.record
 
 
 def run_bench(dataset: EmbeddingDataset, configs, seeds=DEFAULT_SEEDS) -> BenchResult:
-    """Run the grid of ``configs`` (one per strategy id) x ``seeds``, one cell after another.
+    """Run the grid of ``configs`` (one per strategy id) x ``seeds`` in lockstep.
 
-    A failing cell is reported without aborting the rest. Records come back
-    sorted by (strategy, seed).
+    Every cell advances one round at a time. At each round the cells whose
+    fits have the same row count and ``TrainConfig`` are fit together by
+    ``train_batch``, in groups cut to ``FIT_BATCH_BYTES``; only one group's
+    training inputs are held at a time. The features, the sorted pool, the
+    kNN graph and each seed's random or centroid cold start are built once
+    for the grid. Each cell's rows equal those of ``run_al`` on it, and a
+    failing cell is reported without aborting the rest. Records come back
+    sorted by (strategy, seed), failures by (strategy_id, seed).
     """
     ids = [config.strategy.strategy_id() for config in configs]
     for sid in ids:
         if ids.count(sid) > 1:
             raise ValueError(f"configs repeat strategy id {sid!r}; give each strategy once")
+    seeds = list(seeds)
+    for s in seeds:
+        if seeds.count(s) > 1:
+            raise ValueError(f"seeds repeat {s!r}; give each seed once")
     result = BenchResult()
+    inputs = grid_inputs(dataset)
+    cells = []
     for sid, config in zip(ids, configs):
         for s in seeds:
             try:
-                result.records.append(run_al(dataset, config, s))
+                cells.append(start(dataset, config, s, inputs))
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                result.failures.append((sid, s, f"{type(exc).__name__}: {exc}"))
+                result.failures.append(_failure(sid, s, exc))
+
+    while cells:
+        groups = defaultdict(list)
+        for cell in cells:
+            groups[cell.fit_rows(), astuple(cell.config.train)].append(cell)
+        cells = []
+        for (n, _), group in groups.items():
+            cell_bytes = 32 * n * (dataset.dim + 1 + dataset.num_classes)
+            size = max(1, FIT_BATCH_BYTES // max(1, cell_bytes))
+            for i in range(0, len(group), size):
+                chunk = group[i : i + size]
+                for cell, exc in zip(chunk, _advance(chunk, dataset.num_classes)):
+                    record = cell.record
+                    if exc is not None:
+                        result.failures.append(_failure(record.strategy, record.seed, exc))
+                    elif cell.done:
+                        result.records.append(record)
+                    else:
+                        cells.append(cell)
+
     result.records.sort(key=lambda r: (r.strategy, r.seed))
+    result.failures.sort(key=lambda f: f[:2])
     return result
+
+
+def _failure(sid: str, seed: int, exc: Exception) -> tuple:
+    return sid, seed, f"{type(exc).__name__}: {exc}"
+
+
+def _advance(cells, num_classes: int) -> list:
+    """One round of each cell, their heads fit by one ``train_batch``; each cell's error or None."""
+    errors = [None] * len(cells)
+    fits = []
+    for i, cell in enumerate(cells):
+        try:
+            fits.append((i, training_inputs(cell)))
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            errors[i] = exc
+    if not fits:
+        return errors
+    try:
+        clfs = train_batch(
+            [f.features for _, f in fits],
+            [f.labels for _, f in fits],
+            num_classes,
+            cells[0].config.train,
+            [f.seed for _, f in fits],
+            [f.weights for _, f in fits],
+        )
+    except Exception as exc:  # noqa: BLE001
+        clfs = [exc] * len(fits)
+    for (i, _), clf in zip(fits, clfs):
+        try:
+            if isinstance(clf, Exception):
+                raise clf
+            finish_round(cells[i], clf)
+        except Exception as exc:  # noqa: BLE001
+            errors[i] = exc
+    return errors

@@ -10,6 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg  # noqa: F401  (registers sp.linalg)
 
+from alcove.classifier import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingDiverged
 from alcove.geometry import knn, pairwise_sq_dist
 from alcove.semisup import PropagationResult
 
@@ -73,6 +74,56 @@ def cross_entropy_loss_and_grad(
     grad_w = delta.T @ features
     grad_b = delta.sum(axis=0)
     return loss, grad_w, grad_b
+
+
+def adamw_fit(features, labels, num_classes: int, config, seed: int, sample_weights=None):
+    """One cell's AdamW fit, one epoch's mask draw at a time: (weights, bias).
+
+    This is the loop ``train_batch`` runs for many cells at once, with masks
+    drawn in blocks of epochs; the two must agree bit for bit. Raises
+    ``TrainingDiverged`` at the first epoch with a non-finite loss.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    n, d = X.shape
+    rho = config.dropout_rho
+    rng = np.random.default_rng(seed)
+    w = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
+    total = w.sum()
+    wn = w / total if total > 0 else w
+    gather = (np.arange(n), y)
+    tiny = np.finfo(np.float64).tiny
+
+    X_scaled = X / (1.0 - rho)
+    aug = np.ones((n, d + 1))
+    params = np.zeros((num_classes, d + 1))
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    lr, wd = config.learning_rate, config.weight_decay
+    for epoch in range(1, config.epochs + 1):
+        mask = rng.random((n, d), dtype=np.float32) >= rho
+        np.multiply(X_scaled, mask, out=aug[:, :d])
+        probs = aug @ params.T
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        loss = -float(wn @ np.log(np.maximum(probs[gather], tiny)))
+        if not np.isfinite(loss):
+            raise TrainingDiverged(epoch)
+        probs[gather] -= 1.0
+        probs *= wn[:, None]
+        grad = probs.T @ aug
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        step = (m / (1.0 - ADAM_BETA1**epoch)) / (
+            np.sqrt(v / (1.0 - ADAM_BETA2**epoch)) + ADAM_EPS
+        )
+        params -= lr * step + lr * wd * params
+    if not np.all(np.isfinite(params)):
+        raise TrainingDiverged(config.epochs)
+    return params[:, :d], params[:, d]
 
 
 def aggregate_records(records):

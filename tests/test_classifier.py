@@ -8,12 +8,15 @@ from alcove.classifier import (
     TrainConfig,
     evaluate,
     mc_dropout_proba,
+    TrainingDiverged,
     predict_proba,
     train,
+    train_batch,
     zero_classifier,
 )
+from alcove import classifier
 
-from oracles import cross_entropy_loss_and_grad
+from oracles import adamw_fit, cross_entropy_loss_and_grad
 from alcove.dataset_io import EmbeddingDataset, generate_synthetic
 
 
@@ -55,6 +58,69 @@ def test_all_ones_weights_equal_unweighted_bitwise():
     b = train(X, y, 2, TrainConfig(), seed=5)
     assert a.weights.tobytes() == b.weights.tobytes()
     assert a.bias.tobytes() == b.bias.tobytes()
+
+
+def _cells(rng, k_cells, n, d, num_classes):
+    """k_cells distinct fits of one shape, with seeds, labels and sample weights
+    (None, random, some zero, all zero) that differ from cell to cell."""
+    X = rng.normal(size=(k_cells, n, d)).astype(np.float32)
+    Y = rng.integers(0, num_classes, (k_cells, n))
+    weights = [None, rng.random(n), rng.random(n) * (rng.random(n) < 0.5), np.zeros(n)]
+    seeds = rng.integers(0, 2**31, k_cells).tolist()
+    return X, Y, seeds, [weights[k % len(weights)] for k in range(k_cells)]
+
+
+@pytest.mark.parametrize("k_cells, n, d, num_classes", [(6, 25, 7, 4), (3, 120, 40, 12)])
+@pytest.mark.parametrize("block_bytes", [classifier.MASK_BLOCK_BYTES, 1, 4 * 6 * 25 * 7 * 3])
+def test_train_batch_equals_solo_fits_bitwise(monkeypatch, k_cells, n, d, num_classes, block_bytes):
+    # mask blocks of every epoch at once, of one epoch, and of some that do not divide 50
+    monkeypatch.setattr(classifier, "MASK_BLOCK_BYTES", block_bytes)
+    X, Y, seeds, weights = _cells(np.random.default_rng(n), k_cells, n, d, num_classes)
+    config = TrainConfig(epochs=50)
+    batch = train_batch(X, Y, num_classes, config, seeds, weights)
+    for k in range(k_cells):
+        ref_w, ref_b = adamw_fit(X[k], Y[k], num_classes, config, seeds[k], weights[k])
+        solo = train(X[k], Y[k], num_classes, config, seeds[k], weights[k])
+        for clf in (batch[k], solo):
+            assert clf.weights.tobytes() == ref_w.tobytes()
+            assert clf.bias.tobytes() == ref_b.tobytes()
+
+
+def test_diverging_cells_fail_at_their_solo_epoch_and_spare_the_rest():
+    # with lr * wd = 10 the decoupled decay multiplies the weights by -9 each
+    # epoch, so the logits overflow after a number of epochs set by the feature
+    # scale: cell 0 (unit scale) finishes, cell 1 (1e100) diverges late, and
+    # cell 2 (one 1e308 entry, which the dropout scaling makes inf) at once
+    rng = np.random.default_rng(1)
+    X, Y = rng.normal(size=(3, 6, 4)), rng.integers(0, 3, (3, 6))
+    X[1] *= 1e100
+    X[2, 0, 0] = 1e308
+    config = TrainConfig(learning_rate=1.0, weight_decay=10.0, epochs=300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = train_batch(X, Y, 3, config, [1, 2, 3])
+        solo_epochs = []
+        for k in (1, 2):
+            with pytest.raises(TrainingDiverged) as err:
+                adamw_fit(X[k], Y[k], 3, config, k + 1)
+            solo_epochs.append(err.value.epoch)
+        ref_w, ref_b = adamw_fit(X[0], Y[0], 3, config, 1)
+    assert 1 == solo_epochs[1] < solo_epochs[0] < config.epochs
+    assert [type(r) for r in batch] == [LinearClassifier, TrainingDiverged, TrainingDiverged]
+    assert [batch[1].epoch, batch[2].epoch] == solo_epochs
+    assert batch[0].weights.tobytes() == ref_w.tobytes()
+    assert batch[0].bias.tobytes() == ref_b.tobytes()
+
+
+def test_train_batch_isolates_bad_sample_weights():
+    X, Y, seeds, _ = _cells(np.random.default_rng(4), 4, 10, 3, 2)
+    X = X.astype(np.float64)
+    X[2, 0, 0] = 1e308  # inf once scaled by 1 / (1 - rho): diverges at epoch 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = train_batch(X, Y, 2, TrainConfig(epochs=20), seeds, [-np.ones(10), None, None, None])
+    assert [type(r) for r in batch] == [ValueError, LinearClassifier, TrainingDiverged, LinearClassifier]
+    for k in (1, 3):
+        ref_w, _ = adamw_fit(X[k], Y[k], 2, TrainConfig(epochs=20), seeds[k])
+        assert batch[k].weights.tobytes() == ref_w.tobytes()
 
 
 class TestSampleWeights:

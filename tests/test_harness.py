@@ -1,12 +1,14 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from alcove.classifier import TrainConfig
+from alcove.classifier import TrainConfig, train_batch
 from alcove.dataset_io import EmbeddingDataset, generate_synthetic
 from alcove import harness
 from alcove.harness import LabelOracle, RunConfig, run_al, run_bench
 from alcove.semisup import label_propagate
-from alcove.strategies import QuerySpec, StrategyUnavailable
+from alcove.strategies import STRATEGY_KINDS, QuerySpec, StrategyUnavailable
 
 
 def small_dataset():
@@ -193,6 +195,11 @@ class TestRunBench:
         with pytest.raises(ValueError, match="'margins_div'"):
             run_bench(small_dataset(), configs, seeds=(1,))
 
+    def test_repeated_seed_rejected(self):
+        config = RunConfig(strategy=QuerySpec("random"), iterations=1, train=fast_train())
+        with pytest.raises(ValueError, match="seeds repeat 1;"):
+            run_bench(small_dataset(), [config], seeds=(1, 10, 1))
+
     def test_cell_failure_does_not_abort_grid(self):
         ds = small_dataset()
         configs = [
@@ -204,3 +211,114 @@ class TestRunBench:
         assert bench.records[0].strategy == "random"
         assert len(bench.failures) == 1
         assert bench.failures[0][0] == "alfamix"
+
+
+def truncating_dataset():
+    # 8 train points: with B = 3 the pool runs dry during round 3
+    feats = np.random.default_rng(0).normal(size=(12, 4)).astype(np.float32)
+    labels = np.array([0, 1, 2] * 4)
+    return EmbeddingDataset(feats, labels, 3, list(range(8)), [8, 9, 10, 11])
+
+
+def rows_of(record):
+    return [astuple(row) for row in record.rows], record.oracle_accesses
+
+
+GRIDS = {
+    "truncation": (
+        truncating_dataset,
+        [RunConfig(strategy=QuerySpec(k), iterations=5, budget=3, train=fast_train())
+         for k in ("random", "margins", "coreset")],
+    ),
+    "semisupervised": (
+        small_dataset,
+        [RunConfig(strategy=QuerySpec(k), iterations=3, init="centroid", train=fast_train(),
+                   semisupervised=True) for k in ("random", "margins", "dropquery")],
+    ),
+    # alfamix cannot pick its own pool; its cells fail, the others run
+    "own-init": (
+        small_dataset,
+        [RunConfig(strategy=QuerySpec(k), iterations=3, init="own", train=fast_train())
+         for k in ("alfamix", "typiclust", "probcover", "dropquery")],
+    ),
+    # no train points: every cell fits on zero rows and stops at once
+    "empty-pool": (
+        lambda: EmbeddingDataset(small_dataset().features, small_dataset().labels, 4, [], range(80)),
+        [RunConfig(strategy=QuerySpec(k), iterations=2, train=fast_train())
+         for k in ("random", "entropy")],
+    ),
+    # cells of different budgets, inits and epochs share rounds but not fits
+    "mixed": (
+        small_dataset,
+        [RunConfig(strategy=QuerySpec("random"), iterations=3, budget=2, train=fast_train()),
+         RunConfig(strategy=QuerySpec("entropy"), iterations=3, init="centroid",
+                   train=fast_train()),
+         RunConfig(strategy=QuerySpec("margins"), iterations=3, train=TrainConfig(epochs=30))],
+    ),
+}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_rows_equal_run_al(self, name):
+        make_dataset, configs = GRIDS[name]
+        ds = make_dataset()
+        seeds = (2, 1)
+        bench = run_bench(ds, configs, seeds)
+        expected, failures = {}, []
+        for config in configs:
+            for s in seeds:
+                try:
+                    expected[config.strategy.strategy_id(), s] = rows_of(run_al(ds, config, s))
+                except Exception as exc:
+                    message = f"{type(exc).__name__}: {exc}"
+                    failures.append((config.strategy.strategy_id(), s, message))
+        assert {(r.strategy, r.seed): rows_of(r) for r in bench.records} == expected
+        assert [(r.strategy, r.seed) for r in bench.records] == sorted(expected)
+        assert bench.failures == sorted(failures)
+        if name == "truncation":
+            assert all(r.rows[-1].truncated and len(r.rows) == 3 for r in bench.records)
+        if name == "own-init":
+            assert [f[:2] for f in bench.failures] == [("alfamix", 1), ("alfamix", 2)]
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_records_do_not_depend_on_the_batch_size(self, monkeypatch, name):
+        make_dataset, configs = GRIDS[name]
+        ds = make_dataset()
+        batched = run_bench(ds, configs, (1, 2))
+        monkeypatch.setattr(harness, "FIT_BATCH_BYTES", 1)
+        alone = run_bench(ds, configs, (1, 2))
+        assert [rows_of(r) for r in alone.records] == [rows_of(r) for r in batched.records]
+        assert alone.failures == batched.failures
+
+    def test_each_round_of_a_full_grid_is_one_fit(self, monkeypatch):
+        batches = []
+
+        def counting(features, *args, **kwargs):
+            batches.append(len(features))
+            return train_batch(features, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_batch", counting)
+        configs = [
+            RunConfig(strategy=QuerySpec(kind), iterations=4, train=fast_train())
+            for kind in STRATEGY_KINDS
+        ]
+        bench = run_bench(small_dataset(), configs, seeds=(1,))
+        assert len(bench.records) == 12 and not bench.failures
+        assert batches == [12, 12, 12, 12]
+
+    def test_shared_work_is_built_once_per_grid(self, monkeypatch):
+        calls = {"graph": 0, "centroid": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "build_knn_graph", counted("graph", harness.build_knn_graph))
+        monkeypatch.setattr(harness, "centroid_init", counted("centroid", harness.centroid_init))
+        _, configs = GRIDS["semisupervised"]
+        run_bench(small_dataset(), configs, seeds=(1, 2))
+        # one graph for the grid, one cold start per seed
+        assert calls == {"graph": 1, "centroid": 2}
