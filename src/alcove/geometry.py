@@ -8,8 +8,18 @@ through an explicit seed or Generator.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 KMEANS_MAX_ITERS = 100
+
+# Bytes of squared distances one row block of a points-vs-points kernel holds.
+# knn, _nearest_other_label_dist and _ball_graph read the distances through
+# _row_blocks, in O(block + output) memory, and never build the n x n matrix.
+BLOCK_BYTES = 4 * 2**20
+# Fewest rows in a block, whatever the budget: each block's product reads
+# every point once, so blocks of a few rows leave it bound by memory traffic
+# (past 8,192 points, where the budget holds fewer rows).
+BLOCK_MIN_ROWS = 64
 
 
 @dataclass
@@ -22,17 +32,65 @@ class Clustering:
     inertia_history: list = field(default_factory=list, repr=False)
 
 
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _sq_dist(a: np.ndarray, b: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """pairwise_sq_dist(a, b), given the squared row norms a2 and b2."""
+    d2 = a2[:, None] + b2[None, :] - 2.0 * (a @ b.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
 def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of a and b, clamped >= 0."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    a2 = np.einsum("ij,ij->i", a, a)
-    b2 = np.einsum("ij,ij->i", b, b)
-    d2 = a2[:, None] + b2[None, :] - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    return _sq_dist(a, b, _sq_norms(a), _sq_norms(b))
+
+
+def _row_blocks(points: np.ndarray):
+    """Yield (rows, d2) with d2 = pairwise_sq_dist(points, points)[rows] for
+    consecutive row slices of about BLOCK_BYTES of d2 each, and at least
+    BLOCK_MIN_ROWS rows.
+
+    Each block is computed by pairwise_sq_dist's expression with the squared
+    norms taken once. One block reproduces the full matrix bit for bit; a
+    block's product may round otherwise than the same rows of the full
+    product, since BLAS picks its kernel by shape. A one-row product goes
+    through a matrix-vector kernel, so a one-row remainder joins the block
+    before it.
+    """
+    m = points.shape[0]
+    sq = _sq_norms(points)
+    step = max(BLOCK_MIN_ROWS, BLOCK_BYTES // (8 * max(m, 1)))
+    start = 0
+    while start < m:
+        stop = start + step
+        if stop >= m - 1:
+            stop = m
+        yield slice(start, stop), _sq_dist(points[start:stop], points, sq[start:stop], sq)
+        start = stop
+
+
+def _smallest_k(d2: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the columns of the k smallest values ordered by (value, column):
+    the first k columns of a stable argsort, NaN last."""
+    if 2 * k >= d2.shape[1]:  # too little to leave out for a partition to pay
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    part = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+    by_value = np.argsort(np.take_along_axis(d2, part, axis=1), axis=1, kind="stable")
+    order = np.take_along_axis(part, by_value, axis=1)
+    # a row whose k-th value ties with a value left out (or is NaN) may have
+    # kept a larger column than the stable sort does: sort it in full
+    kth = np.take_along_axis(d2, order[:, -1:], axis=1)
+    redo = np.count_nonzero(d2 <= kth, axis=1) != k
+    if redo.any():
+        order[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, :k]
+    return order
 
 
 def knn(points: np.ndarray, k: int):
@@ -43,13 +101,52 @@ def knn(points: np.ndarray, k: int):
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     if k >= m:
         raise ValueError(f"k={k} must be < number of points {m}")
-    d2 = pairwise_sq_dist(points, points)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    dist = np.sqrt(np.take_along_axis(d2, order, axis=1))
-    return order, dist
+    idx = np.empty((m, k), dtype=np.int64)
+    dist = np.empty((m, k))
+    for rows, d2 in _row_blocks(points):
+        np.fill_diagonal(d2[:, rows.start :], np.inf)
+        order = _smallest_k(d2, k)
+        idx[rows] = order
+        dist[rows] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    return idx, dist
+
+
+def _nearest_other_label_dist(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per point of the float64 (m, d) points, the distance to the nearest
+    point with another label (inf where every point shares its label)."""
+    nearest = np.empty(points.shape[0])
+    for rows, d2 in _row_blocks(points):
+        d2[labels[rows, None] == labels[None, :]] = np.inf
+        nearest[rows] = d2.min(axis=1)
+    return np.sqrt(nearest)
+
+
+def _ball_graph(points: np.ndarray, radius: float) -> sp.csr_matrix:
+    """Boolean CSR graph over the float64 (m, d) points whose row i holds
+    every j whose squared distance from point i is at most radius**2, i itself included when that holds.
+    Each row is tested on its own distances, so the graph need not be
+    symmetric.
+    """
+    m = points.shape[0]
+    r2 = radius * radius
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    columns = [np.empty(0, dtype=np.int32)]  # 2**31 points would not fit in memory
+    for rows, d2 in _row_blocks(points):
+        near = d2 <= r2
+        indptr[rows.start + 1 : rows.stop + 1] = np.count_nonzero(near, axis=1)
+        columns.append(np.nonzero(near)[1].astype(np.int32))
+    np.cumsum(indptr, out=indptr)
+    indices = np.concatenate(columns)
+    return sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=(m, m))
+
+
+def _dist_to_point(points: np.ndarray, sq: np.ndarray, j: int) -> np.ndarray:
+    """pairwise_sq_dist(points, points[j : j + 1])[:, 0], given the squared row norms sq."""
+    return _sq_dist(points, points[j : j + 1], sq, sq[j : j + 1])[:, 0]
 
 
 def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -94,7 +191,8 @@ def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     m = points.shape[0]
     if k > m:
         raise ValueError(f"k={k} exceeds number of points {m}")
-    return _kmeanspp_from_dist(m, k, rng, lambda j: pairwise_sq_dist(points, points[j : j + 1])[:, 0])
+    sq = _sq_norms(points)
+    return _kmeanspp_from_dist(m, k, rng, lambda j: _dist_to_point(points, sq, j))
 
 
 def kmeans(points: np.ndarray, k: int, seed: int) -> Clustering:
@@ -111,9 +209,10 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> Clustering:
         raise ValueError(f"k={k} exceeds number of points {m}")
     rng = np.random.default_rng(seed)
     centroids = points[kmeanspp_seed(points, k, rng)].copy()
+    sq = _sq_norms(points)
 
     def assign(cent):
-        d2 = pairwise_sq_dist(points, cent)
+        d2 = _sq_dist(points, cent, sq, _sq_norms(cent))
         a = np.argmin(d2, axis=1)
         return a, float(d2[np.arange(m), a].sum())
 
@@ -176,21 +275,22 @@ def greedy_k_center(points: np.ndarray, existing_centers, b: int) -> np.ndarray:
     blocked = np.zeros(m, dtype=bool)
     blocked[existing] = True
     picks = []
+    sq = _sq_norms(points)
 
     if existing.size:
-        min_d2 = pairwise_sq_dist(points, points[existing]).min(axis=1)
+        min_d2 = _sq_dist(points, points[existing], sq, sq[existing]).min(axis=1)
     else:
         mean = points.mean(axis=0, keepdims=True)
-        d2_mean = pairwise_sq_dist(points, mean)[:, 0]
+        d2_mean = _sq_dist(points, mean, sq, _sq_norms(mean))[:, 0]
         first = int(np.argmax(d2_mean))
         picks.append(first)
         blocked[first] = True
-        min_d2 = pairwise_sq_dist(points, points[first : first + 1])[:, 0]
+        min_d2 = _dist_to_point(points, sq, first)
 
     while len(picks) < b:
         scores = np.where(blocked, -np.inf, min_d2)
         pick = int(np.argmax(scores))
         picks.append(pick)
         blocked[pick] = True
-        min_d2 = np.minimum(min_d2, pairwise_sq_dist(points, points[pick : pick + 1])[:, 0])
+        min_d2 = np.minimum(min_d2, _dist_to_point(points, sq, pick))
     return np.asarray(picks, dtype=np.int64)

@@ -44,16 +44,20 @@ def build_knn_graph(features: np.ndarray, k: int = 500) -> sp.csr_matrix:
     for start in range(0, n, 256):
         block = slice(start, start + 256)
         sims[block] = np.einsum("ij,ikj->ik", unit[block], unit[idx[block]])
-    vals = np.maximum(sims.ravel(), 0.0) ** 3
-    w = sp.csr_matrix((vals, (np.repeat(np.arange(n), k), idx.ravel())), shape=(n, n))
+    sims[idx == np.arange(n)[:, None]] = 0.0  # no self loops
+    np.maximum(sims, 0.0, out=sims)
+    np.power(sims, 3, out=sims)
+    w = sp.csr_matrix((sims.ravel(), idx.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
+    w.sort_indices()
+    # the elementwise max stores only nonzero results, so edges of
+    # non-positive similarity drop out here
     a = w.maximum(w.T)
-    a.setdiag(0.0)
-    a.eliminate_zeros()
 
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
-    d_half = sp.diags(inv_sqrt)
-    return (d_half @ a @ d_half).tocsr()
+    a.data *= np.repeat(inv_sqrt, np.diff(a.indptr))
+    a.data *= inv_sqrt[a.indices]
+    return a
 
 
 def label_propagate(s_matrix, labels_onehot: np.ndarray, alpha: float = 0.9) -> PropagationResult:

@@ -13,13 +13,14 @@ import numpy as np
 
 from .classifier import LinearClassifier, mc_dropout_proba, predict_proba
 from .geometry import (
+    _ball_graph,
     _kmeanspp_from_dist,
+    _nearest_other_label_dist,
     _weighted_pick,
     greedy_k_center,
     kmeans,
     knn,
     nearest_to_centroids,
-    pairwise_sq_dist,
 )
 from .rng import derive_rng, derive_seed
 
@@ -365,6 +366,8 @@ def estimate_delta(
     """
     X = np.asarray(features, dtype=np.float64)
     n = X.shape[0]
+    if n < 2:
+        raise ValueError(f"estimate_delta needs at least 2 points, got {n}")
     pseudo = kmeans(X, min(num_classes, n), seed).assignments
 
     rng = np.random.default_rng(seed)
@@ -378,29 +381,40 @@ def estimate_delta(
 
     # a point stays pure at radius delta iff no differently-labeled point
     # sits within delta, so one pass over nearest cross-label distances
-    # answers every grid value (sqrt is monotone, so it can follow the min)
-    d2 = pairwise_sq_dist(X, X)
-    d2[pseudo[:, None] == pseudo[None, :]] = np.inf
-    nearest_cross = np.sqrt(d2.min(axis=1))
+    # answers every grid value
+    nearest_cross = _nearest_other_label_dist(X, pseudo)
     purity = (nearest_cross[None, :] > grid[:, None]).mean(axis=1)
     passing = np.flatnonzero(purity >= purity_threshold)
     return float(grid[passing[-1]] if passing.size else grid[0])
 
 
 def query_probcover(features: np.ndarray, labeled, unlabeled, b: int, delta: float) -> np.ndarray:
-    """Greedy max-coverage over the delta-ball graph, seeded by labeled coverage."""
-    pool, is_labeled = _train_pool(labeled, unlabeled)
-    X = np.asarray(features, dtype=np.float64)[pool]
-    adj = pairwise_sq_dist(X, X) <= delta * delta
+    """Greedy max-coverage over the delta-ball graph, seeded by labeled coverage.
 
-    covered = adj[is_labeled].any(axis=0)
+    Each ball's count of uncovered points is kept up to date: when a pick
+    covers new points, every ball that holds one of them loses one.
+    """
+    if not delta >= 0:
+        raise ValueError(f"probcover delta must be a non-negative number, got {delta}")
+    pool, is_labeled = _train_pool(labeled, unlabeled)
+    balls = _ball_graph(np.asarray(features, dtype=np.float64)[pool], delta)
+    holders = balls.T.tocsr()  # row j: the balls that hold point j
+    gain = np.diff(balls.indptr).astype(np.int64)
+    covered = np.zeros(len(pool), dtype=bool)
+
+    def cover(centers):
+        new = np.unique(balls[centers].indices)
+        new = new[~covered[new]]
+        covered[new] = True
+        gain[:] -= np.bincount(holders[new].indices, minlength=len(pool))
+
+    cover(np.flatnonzero(is_labeled))
     cand = ~is_labeled
     picks = []
     for _ in range(min(b, len(unlabeled))):
-        counts = np.where(cand, adj[:, ~covered].sum(axis=1), -1)
-        pick = int(np.argmax(counts))
+        pick = int(np.argmax(np.where(cand, gain, -1)))
         picks.append(int(pool[pick]))
-        covered |= adj[pick]
+        cover([pick])
         cand[pick] = False
     return np.asarray(picks, dtype=np.int64)
 

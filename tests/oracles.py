@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg  # noqa: F401  (registers sp.linalg)
 
 from alcove.classifier import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingDiverged
-from alcove.geometry import knn, pairwise_sq_dist
+from alcove.geometry import kmeans, pairwise_sq_dist
 from alcove.semisup import PropagationResult
 
 
@@ -143,14 +143,71 @@ def aggregate_records(records):
     return out
 
 
-def knn_graph_by_gather(features: np.ndarray, k: int = 500):
-    """build_knn_graph with every edge's similarity taken from two gathered
-    (n*k) x d copies of the unit features, one row per edge endpoint."""
+def knn_by_argsort(points: np.ndarray, k: int, d2=None):
+    """knn from the full n x n distance matrix d2 (by default
+    pairwise_sq_dist(points, points)): the first k columns of each row's
+    stable argsort, with the diagonal set to inf."""
+    points = np.asarray(points, dtype=np.float64)
+    d2 = pairwise_sq_dist(points, points) if d2 is None else d2.copy()
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return order, np.sqrt(np.take_along_axis(d2, order, axis=1))
+
+
+def estimate_delta_dense(features, num_classes: int, purity_threshold: float = 0.95, seed: int = 0, d2=None):
+    """estimate_delta with each point's nearest cross-label distance read off
+    the full n x n distance matrix d2 (by default pairwise_sq_dist(X, X)),
+    same-label entries set to inf."""
+    X = np.asarray(features, dtype=np.float64)
+    n = X.shape[0]
+    pseudo = kmeans(X, min(num_classes, n), seed).assignments
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, n, 2000)
+    right = rng.integers(0, n - 1, 2000)
+    right = np.where(right >= left, right + 1, right)
+    sample = np.sqrt(np.einsum("ij,ij->i", X[left] - X[right], X[left] - X[right]))
+    lo = max(float(np.percentile(sample, 1)), 1e-12)
+    hi = max(float(np.percentile(sample, 99)), lo * (1 + 1e-9))
+    grid = np.geomspace(lo, hi, 64)
+    d2 = pairwise_sq_dist(X, X) if d2 is None else d2.copy()
+    d2[pseudo[:, None] == pseudo[None, :]] = np.inf
+    nearest_cross = np.sqrt(d2.min(axis=1))
+    purity = (nearest_cross[None, :] > grid[:, None]).mean(axis=1)
+    passing = np.flatnonzero(purity >= purity_threshold)
+    return float(grid[passing[-1]] if passing.size else grid[0])
+
+
+def probcover_dense(features, labeled, unlabeled, b: int, delta: float, d2=None):
+    """query_probcover over a dense boolean adjacency of the train pool, every
+    candidate's uncovered neighbours recounted on each pick. d2 is the pool's
+    distance matrix, by default pairwise_sq_dist of the pool's features."""
+    labeled = np.asarray(labeled, dtype=np.int64)
+    pool = np.sort(np.concatenate([labeled, np.asarray(unlabeled, dtype=np.int64)]))
+    is_labeled = np.isin(pool, labeled)
+    X = np.asarray(features, dtype=np.float64)[pool]
+    adj = (pairwise_sq_dist(X, X) if d2 is None else d2) <= delta * delta
+    covered = adj[is_labeled].any(axis=0)
+    cand = ~is_labeled
+    picks = []
+    for _ in range(min(b, len(unlabeled))):
+        counts = np.where(cand, adj[:, ~covered].sum(axis=1), -1)
+        pick = int(np.argmax(counts))
+        picks.append(int(pool[pick]))
+        covered |= adj[pick]
+        cand[pick] = False
+    return np.asarray(picks, dtype=np.int64)
+
+
+def knn_graph_by_gather(features: np.ndarray, k: int = 500, d2=None):
+    """build_knn_graph assembled from COO triplets and two sp.diags products,
+    with every edge's similarity taken from two gathered (n*k) x d copies of
+    the unit features, one row per edge endpoint, and the neighbours from
+    knn_by_argsort over d2."""
     X = np.asarray(features, dtype=np.float64)
     n = X.shape[0]
     k = min(k, n - 1)
     unit = X / np.maximum(np.sqrt(np.einsum("ij,ij->i", X, X)), 1e-12)[:, None]
-    idx, _ = knn(X, k)
+    idx, _ = knn_by_argsort(X, k, d2)
     rows = np.repeat(np.arange(n), k)
     cols = idx.ravel()
     sims = np.einsum("ij,ij->i", unit[rows], unit[cols])
