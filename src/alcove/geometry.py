@@ -79,8 +79,6 @@ def _row_blocks(points: np.ndarray):
 def _smallest_k(d2: np.ndarray, k: int) -> np.ndarray:
     """Per row, the columns of the k smallest values ordered by (value, column):
     the first k columns of a stable argsort, NaN last."""
-    if 2 * k >= d2.shape[1]:  # too little to leave out for a partition to pay
-        return np.argsort(d2, axis=1, kind="stable")[:, :k]
     part = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
     by_value = np.argsort(np.take_along_axis(d2, part, axis=1), axis=1, kind="stable")
     order = np.take_along_axis(part, by_value, axis=1)

@@ -29,11 +29,14 @@ def build_knn_graph(features: np.ndarray, k: int = 500) -> sp.csr_matrix:
     """Symmetric normalized affinity S = D^{-1/2} A D^{-1/2}.
 
     Edge weights are max(0, cosine similarity)^3 over kNN edges, symmetrized
-    by max, zero diagonal. k >= n clamps to n - 1.
+    by max, zero diagonal. k >= n clamps to n - 1; with fewer than two points
+    (or k < 1) the graph has no edges.
     """
     X = np.asarray(features, dtype=np.float64)
     n = X.shape[0]
     k = min(k, n - 1)
+    if k < 1:
+        return sp.csr_matrix((n, n))
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     unit = X / np.maximum(norms, 1e-12)[:, None]
 

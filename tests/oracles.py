@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg  # noqa: F401  (registers sp.linalg)
 
 from alcove.classifier import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingDiverged
-from alcove.geometry import kmeans, pairwise_sq_dist
+from alcove.geometry import pairwise_sq_dist
 from alcove.semisup import PropagationResult
 
 
@@ -154,27 +154,11 @@ def knn_by_argsort(points: np.ndarray, k: int, d2=None):
     return order, np.sqrt(np.take_along_axis(d2, order, axis=1))
 
 
-def estimate_delta_dense(features, num_classes: int, purity_threshold: float = 0.95, seed: int = 0, d2=None):
-    """estimate_delta with each point's nearest cross-label distance read off
-    the full n x n distance matrix d2 (by default pairwise_sq_dist(X, X)),
-    same-label entries set to inf."""
-    X = np.asarray(features, dtype=np.float64)
-    n = X.shape[0]
-    pseudo = kmeans(X, min(num_classes, n), seed).assignments
-    rng = np.random.default_rng(seed)
-    left = rng.integers(0, n, 2000)
-    right = rng.integers(0, n - 1, 2000)
-    right = np.where(right >= left, right + 1, right)
-    sample = np.sqrt(np.einsum("ij,ij->i", X[left] - X[right], X[left] - X[right]))
-    lo = max(float(np.percentile(sample, 1)), 1e-12)
-    hi = max(float(np.percentile(sample, 99)), lo * (1 + 1e-9))
-    grid = np.geomspace(lo, hi, 64)
-    d2 = pairwise_sq_dist(X, X) if d2 is None else d2.copy()
-    d2[pseudo[:, None] == pseudo[None, :]] = np.inf
-    nearest_cross = np.sqrt(d2.min(axis=1))
-    purity = (nearest_cross[None, :] > grid[:, None]).mean(axis=1)
-    passing = np.flatnonzero(purity >= purity_threshold)
-    return float(grid[passing[-1]] if passing.size else grid[0])
+def nearest_other_label_dist_dense(d2: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per row of the full n x n distance matrix d2, the distance to the
+    nearest point with another label: same-label entries set to inf, then the
+    row minimum's square root."""
+    return np.sqrt(np.where(labels[:, None] == labels[None, :], np.inf, d2).min(axis=1))
 
 
 def probcover_dense(features, labeled, unlabeled, b: int, delta: float, d2=None):

@@ -13,6 +13,7 @@ for one block and for integer-valued points (where every product and sum is
 exact), and to rounding otherwise.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from alcove import geometry
 from alcove.geometry import knn, pairwise_sq_dist
 from alcove.semisup import build_knn_graph
 from alcove.strategies import estimate_delta, query_probcover
-from oracles import estimate_delta_dense, knn_by_argsort, knn_graph_by_gather, probcover_dense
+from oracles import knn_by_argsort, knn_graph_by_gather, nearest_other_label_dist_dense, probcover_dense
 
 BLOCKINGS = ("two rows", "one-row remainder", "one block")
 
@@ -139,14 +140,16 @@ class TestKnnBlocked:
 
 class TestEstimateDeltaBlocked:
     @pytest.mark.parametrize("name", sorted(datasets()))
-    @pytest.mark.parametrize("purity", [0.0, 0.5, 0.95, 1.01])
-    def test_matches_dense(self, blocking, name, purity):
+    def test_nearest_other_label_matches_dense(self, blocking, name):
         pts = datasets()[name]
-        blocking(len(pts))
+        m = len(pts)
+        blocking(m)
         d2 = blocked_d2(pts)
-        for num_classes, seed in ((1, 0), (3, 1), (6, 2)):
-            got = estimate_delta(pts, num_classes, purity_threshold=purity, seed=seed)
-            assert got == estimate_delta_dense(pts, num_classes, purity, seed, d2)
+        rng = np.random.default_rng(34)
+        # one label (every distance inf), a few, and a label per point
+        for labels in (np.zeros(m, dtype=np.int64), rng.integers(0, 3, m), rng.integers(0, 6, m), np.arange(m)):
+            got = geometry._nearest_other_label_dist(pts, labels)
+            assert_same(got, nearest_other_label_dist_dense(d2, labels))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_points_rejected(self, n):
@@ -197,6 +200,15 @@ class TestKnnGraphBlocked:
             for attr in ("indptr", "indices", "data"):
                 assert_same(getattr(got, attr), getattr(want, attr))
 
+    @pytest.mark.parametrize("n, k", [(0, 5), (1, 5), (6, 0)])
+    def test_no_neighbours_gives_an_empty_graph(self, n, k):
+        pts = np.random.default_rng(35).normal(size=(n, 3))
+        got = build_knn_graph(pts, k)
+        assert got.shape == (n, n) and got.nnz == 0
+        want = knn_graph_by_gather(pts, k)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
     def test_zero_row_has_no_edges(self):
         pts = np.random.default_rng(31).normal(size=(40, 3))
         pts[7] = 0.0
@@ -216,6 +228,36 @@ def test_cached_row_norms_match_pairwise_bit_for_bit():
     assert_same(geometry._sq_dist(pts, pts[chosen], sq, sq[chosen]), pairwise_sq_dist(pts, pts[chosen]))
     cent = pts[:7] * 0.5
     assert_same(geometry._sq_dist(pts, cent, sq, geometry._sq_norms(cent)), pairwise_sq_dist(pts, cent))
+
+
+def test_shipped_budget_pins_multi_block_results():
+    # 2,047 points: eight blocks under the shipped budget, the last one row
+    # short. The blocks' distances can differ from pairwise_sq_dist's in the
+    # last bit (and with the BLAS thread count), so the picks are pinned and
+    # the distances checked to rounding; a BLAS or blocking change that moves
+    # a pick shows here.
+    pts = np.random.default_rng(36).normal(size=(2047, 16))
+    assert [rows.stop - rows.start for rows, _ in geometry._row_blocks(pts)] == [256] * 7 + [255]
+
+    idx, dist = knn(pts, 20)
+    assert hashlib.sha256(idx.tobytes()).hexdigest() == (
+        "cb04cb2807035cd63974b5de469e17c9578845902a978d6f285271d7ee820456"
+    )
+    want_idx, want_dist = knn_by_argsort(pts, 20)
+    assert np.array_equal(idx, want_idx)
+    assert np.allclose(dist, want_dist, rtol=1e-12, atol=0.0)
+
+    delta = estimate_delta(pts, 10, seed=3)
+    assert delta.hex() == "0x1.b47eaa17073bdp+1"
+
+    labeled = np.arange(0, 2047, 50)
+    unlabeled = np.setdiff1d(np.arange(2047), labeled)
+    assert query_probcover(pts, labeled, unlabeled, 12, delta).tolist() == [
+        1919, 318, 220, 29, 407, 1381, 1991, 373, 1152, 261, 344, 1573,
+    ]
+    assert query_probcover(pts, labeled, unlabeled, 12, 3.0).tolist() == [
+        220, 318, 1082, 961, 495, 998, 1439, 261, 1706, 1919, 583, 407,
+    ]
 
 
 def test_kernels_peak_far_below_a_dense_matrix():
