@@ -42,6 +42,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.dropout_rho < 1.0:
             raise ValueError(f"dropout_rho must be in [0, 1), got {self.dropout_rho}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass

@@ -198,8 +198,10 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> Clustering:
 
     Stops at an assignment fixpoint or after KMEANS_MAX_ITERS (100) Lloyd
     steps; there is no tolerance, the fixpoint is exact. Empty clusters are
-    re-seeded at the point currently farthest from its assigned centroid, so
-    all k clusters stay populated.
+    re-seeded at the point currently farthest from its assigned centroid.
+    Coinciding points can still leave clusters empty, since a point tied
+    between centroids goes to the smaller cluster id; callers that need k
+    picks pad them.
     """
     points = np.asarray(points, dtype=np.float64)
     m, d = points.shape

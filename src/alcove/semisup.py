@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import geometry
 from .geometry import knn
 from .strategies import score_entropy
 
@@ -41,11 +42,13 @@ def build_knn_graph(features: np.ndarray, k: int = 500) -> sp.csr_matrix:
     unit = X / np.maximum(norms, 1e-12)[:, None]
 
     idx, _ = knn(X, k)
-    # cosine similarities of each row to its neighbors, gathered a block of
-    # rows at a time so no (n*k) x d copy of the features is ever built
+    # cosine similarities of each row to its neighbors, gathered about
+    # geometry.BLOCK_BYTES of neighbour features at a time, so no (n*k) x d
+    # copy of the features is ever built
     sims = np.empty((n, k))
-    for start in range(0, n, 256):
-        block = slice(start, start + 256)
+    step = max(1, geometry.BLOCK_BYTES // max(1, 8 * k * X.shape[1]))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
         sims[block] = np.einsum("ij,ikj->ik", unit[block], unit[idx[block]])
     sims[idx == np.arange(n)[:, None]] = 0.0  # no self loops
     np.maximum(sims, 0.0, out=sims)

@@ -22,6 +22,7 @@ from .geometry import (
     knn,
     nearest_to_centroids,
 )
+from .initpool import _pad, random_init
 from .rng import derive_rng, derive_seed
 
 # a diversified query clusters the top SHORTLIST_FACTOR * B scored points
@@ -60,6 +61,8 @@ class QuerySpec:
         for name in ("mc_samples", "dq_m", "typiclust_max_clusters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.inference_dropout and not self.diversify:
+            raise ValueError("inference_dropout applies only with diversify=True")
 
     def strategy_id(self) -> str:
         """Record identifier; diversification variants get their own id."""
@@ -148,50 +151,30 @@ def _cluster_pick(
     if len(candidates):
         cl = kmeans(features[candidates], min(b, len(candidates)), seed)
         picked = candidates[nearest_to_centroids(features[candidates], cl)]
-    if len(picked) < b:
-        chosen = set(picked.tolist())
-        pad = [i for i in fallback.tolist() if i not in chosen][: b - len(picked)]
-        picked = np.concatenate([picked, np.asarray(pad, dtype=np.int64)])
-    return picked
+    return _pad(picked, fallback, b)
 
 
 # ---------------------------------------------------------------------------
-# diversified top-K*B selection
+# diversified shortlist selection
 
 
 def diversify(
-    scores: np.ndarray,
-    features: np.ndarray,
-    unlabeled: np.ndarray,
-    b: int,
-    k_multiplier: int = SHORTLIST_FACTOR,
-    seed: int = 0,
+    scores: np.ndarray, features: np.ndarray, unlabeled: np.ndarray, b: int, seed: int = 0
 ) -> np.ndarray:
-    """Cluster the top-(K*B) scored points into B clusters, take cluster medoid-like picks.
+    """Cluster the top SHORTLIST_FACTOR*B scored points into B clusters, take medoid-like picks.
 
     The kmeans call uses ``seed`` directly, so the selection can be replayed
     through the public geometry API. Shortfalls are padded from the shortlist
     in score order.
     """
-    if k_multiplier < 1:
-        raise ValueError(f"k_multiplier must be >= 1, got {k_multiplier}")
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     b_eff = min(b, len(unlabeled))
-    if b_eff == 0:
-        return np.empty(0, dtype=np.int64)
-    shortlist = _score_order(scores, unlabeled)[: k_multiplier * b_eff]
+    shortlist = _score_order(scores, unlabeled)[: SHORTLIST_FACTOR * b_eff]
     return _cluster_pick(features, shortlist, shortlist, b_eff, seed)
 
 
 # ---------------------------------------------------------------------------
 # individual strategies
-
-
-def query_random(unlabeled: np.ndarray, b: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
-    b_eff = min(b, len(unlabeled))
-    return rng.choice(unlabeled, size=b_eff, replace=False)
 
 
 def query_powerbald(
@@ -491,7 +474,7 @@ def _scores(spec: QuerySpec, r: _Round) -> np.ndarray:
     U = r.features[r.unlabeled]
     if spec.kind in ("bald", "powerbald"):
         return score_bald(mc_dropout_proba(r.clf, U, spec.mc_samples, derive_seed(r.seed, "mc")))
-    if spec.diversify and spec.inference_dropout:
+    if spec.inference_dropout:
         probs = mc_dropout_proba(r.clf, U, 1, derive_seed(r.seed, "inference-dropout"))[0]
     else:
         probs = predict_proba(r.clf, U)
@@ -500,7 +483,7 @@ def _scores(spec: QuerySpec, r: _Round) -> np.ndarray:
 
 
 def _ranked(spec: QuerySpec, r: _Round) -> np.ndarray:
-    """Score-ranked kinds: the top B, or the diversified top K*B."""
+    """Score-ranked kinds: the top B, or the diversified top SHORTLIST_FACTOR*B."""
     scores = _scores(spec, r)
     if spec.diversify:
         return diversify(scores, r.features, r.unlabeled, r.b, seed=derive_seed(r.seed, "diversify"))
@@ -517,7 +500,7 @@ def _probcover(spec: QuerySpec, r: _Round) -> np.ndarray:
 
 # kind -> fn(spec, round) returning the selected indices or a QueryResult
 _STRATEGIES = {
-    "random": lambda spec, r: query_random(r.unlabeled, r.b, r.seed),
+    "random": lambda spec, r: random_init(r.unlabeled, r.b, r.seed),
     "uncertainty": _ranked,
     "entropy": _ranked,
     "margins": _ranked,

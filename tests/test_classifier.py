@@ -190,6 +190,12 @@ def test_dropout_ratio_outside_unit_interval_rejected(rho):
         TrainConfig(dropout_rho=rho)
 
 
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_epochs_below_one_rejected(epochs):
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=epochs)
+
+
 class TestMcDropout:
     def test_rho_zero_identity(self):
         rng = np.random.default_rng(4)

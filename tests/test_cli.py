@@ -168,6 +168,18 @@ class TestBench:
         assert err.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--epochs", "0"], ["--epochs", "-3"], ["--inference-dropout"]]
+    )
+    def test_rejected_settings_fail_before_writing(self, dataset_dir, tmp_path, flags):
+        out = tmp_path / "res"
+        code = run_cli(
+            "bench", "--data", str(dataset_dir), "--out", str(out),
+            "--strategies", "margins", "--seeds", "1", "--iterations", "1", *flags,
+        )
+        assert code == 1
+        assert not out.exists()
+
     def test_query_flags_map_onto_spec_fields_and_defaults(self):
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -93,6 +93,18 @@ class TestRunAl:
         rec = run_al(ds, cfg, seed=1)
         assert rec.rows[0].labeled_count == 4
 
+    def test_centroid_init_on_coinciding_points_reveals_the_budget(self):
+        # two distinct coordinates: k-means at B = 6 leaves four clusters empty
+        feats = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0]], dtype=np.float32), 10, axis=0)
+        ds = EmbeddingDataset(
+            feats, np.repeat([0, 1], 10), 2, train_indices=list(range(16)), test_indices=[16, 17, 18, 19]
+        )
+        cfg = RunConfig(
+            strategy=QuerySpec("random"), iterations=1, budget=6, init="centroid", train=fast_train()
+        )
+        rec = run_al(ds, cfg, seed=1)
+        assert rec.rows[0].labeled_count == 6
+
     def test_own_init_for_self_initializing_strategies(self):
         ds = small_dataset()
         for kind in ("typiclust", "probcover", "dropquery"):

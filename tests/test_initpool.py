@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from alcove.geometry import kmeans, nearest_to_centroids
 from alcove.initpool import centroid_init, random_init
@@ -66,6 +67,16 @@ class TestCentroidInit:
         b = centroid_init(feats[perm], np.arange(24), 4, seed=2)
         # same coordinates selected, indices relabeled by the permutation
         assert np.allclose(np.sort(feats[a], axis=0), np.sort(feats[perm][b], axis=0))
+
+    @pytest.mark.parametrize("b", [3, 4, 5, 6, 9])
+    def test_coinciding_points_pad_to_budget_in_index_order(self, b):
+        # five identical points leave k-means two non-empty clusters
+        feats = np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]])
+        train = np.array([4, 2, 5, 0, 3, 1])
+        got = centroid_init(feats, train, b, seed=0).tolist()
+        assert len(got) == len(set(got)) == min(b, 6)
+        assert 5 in got[:2]
+        assert got[2:] == [i for i in range(6) if i not in got[:2]][: b - 2]
 
 
 def test_both_inits_return_distinct_indices():

@@ -5,8 +5,12 @@ drops a patched name fails here rather than in a benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import alcove
 import alcove.cli  # noqa: F401  (tracing looks the submodules up by name)
+from alcove.classifier import LinearClassifier
+from alcove.strategies import QuerySpec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +39,21 @@ def test_capture_and_tracer_install_and_undo():
     finally:
         patch.undo()
     assert [dict(vars(m)) for m in modules] + [dict(vars(oracle))] == before
+
+
+def test_capture_keeps_centroid_init_and_cluster_pick_clusterings():
+    # the clustering check keys each k-means call by its caller, so centroid
+    # init must reach kmeans through initpool, not through _cluster_pick
+    tracing = load_tracing()
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(30, 4))
+    clf = LinearClassifier(weights=rng.normal(size=(3, 4)), bias=np.zeros(3))
+    capture = tracing.Capture()
+    patch = tracing.Patch()
+    try:
+        capture.install(patch, tracing.alcove_modules())
+        alcove.initpool.centroid_init(feats, np.arange(30), 3, seed=1)
+        alcove.strategies.query(QuerySpec("dropquery"), feats, clf, [], [], np.arange(30), 3, seed=2)
+    finally:
+        patch.undo()
+    assert {"centroid_init", "_cluster_pick"} <= set(capture.clusterings)

@@ -12,6 +12,7 @@ from alcove.classifier import (
     predict_proba,
     zero_classifier,
 )
+from alcove import strategies
 from alcove.geometry import kmeans, kmeanspp_seed, nearest_to_centroids
 from alcove.strategies import (
     QuerySpec,
@@ -139,39 +140,42 @@ class TestSelectTopB:
 
 
 class TestDiversify:
-    def test_k1_equals_topb_set(self):
+    def test_k1_equals_topb_set(self, monkeypatch):
+        monkeypatch.setattr(strategies, "SHORTLIST_FACTOR", 1)
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(20, 3))
         unl = np.arange(20)
         scores = rng.random(20)
-        got = diversify(scores, feats, unl, 4, k_multiplier=1, seed=0)
+        got = diversify(scores, feats, unl, 4, seed=0)
         assert sorted(got.tolist()) == sorted(select_topb(scores, unl, 4).tolist())
 
-    def test_score_tied_blobs_one_pick_each(self):
+    def test_score_tied_blobs_one_pick_each(self, monkeypatch):
+        monkeypatch.setattr(strategies, "SHORTLIST_FACTOR", 50)
         rng = np.random.default_rng(4)
         blob_a = rng.normal(size=(10, 2)) * 0.05
         blob_b = rng.normal(size=(10, 2)) * 0.05 + 20
         feats = np.vstack([blob_a, blob_b])
-        got = diversify(np.zeros(20), feats, np.arange(20), 2, k_multiplier=50, seed=0)
+        got = diversify(np.zeros(20), feats, np.arange(20), 2, seed=0)
         assert len({int(i) // 10 for i in got}) == 2
 
-    def test_replay_through_geometry_oracles(self):
+    def test_replay_through_geometry_oracles(self, monkeypatch):
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(30, 4))
         scores = rng.random(30)
         unl = np.arange(30)
         b, k_mult, seed = 3, 4, 77
-        got = diversify(scores, feats, unl, b, k_mult, seed)
+        monkeypatch.setattr(strategies, "SHORTLIST_FACTOR", k_mult)
+        got = diversify(scores, feats, unl, b, seed)
         order = np.lexsort((unl, -scores))
         shortlist = unl[order][: k_mult * b]
         cl = kmeans(feats[shortlist], b, seed)
         expected = shortlist[nearest_to_centroids(feats[shortlist], cl)]
         assert got.tolist() == expected.tolist()
-        assert diversify(scores, feats, unl, b, k_mult, seed).tolist() == got.tolist()
+        assert diversify(scores, feats, unl, b, seed).tolist() == got.tolist()
 
-    def test_empty_shortlist_rejected(self):
-        with pytest.raises(ValueError, match="k_multiplier"):
-            diversify(np.zeros(4), np.zeros((4, 2)), np.arange(4), 2, k_multiplier=0)
+    def test_empty_pool_gives_empty_pick(self):
+        got = diversify(np.zeros(0), np.zeros((4, 2)), np.arange(0), 3, seed=0)
+        assert got.dtype == np.int64 and got.size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +706,12 @@ def test_diversified_variants_also_budget_exact():
             spec = QuerySpec(kind=kind, diversify=True, inference_dropout=drop)
             res = query(spec, feats, clf, [], [], unlabeled, 5, seed=1)
             assert len(res.selected) == 5
+
+
+def test_inference_dropout_needs_diversify():
+    with pytest.raises(ValueError, match="inference_dropout"):
+        QuerySpec("margins", inference_dropout=True)
+    assert QuerySpec("margins", diversify=True, inference_dropout=True).strategy_id() == "margins_divdrop"
 
 
 def test_unknown_kind_rejected():
