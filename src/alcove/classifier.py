@@ -69,9 +69,12 @@ def zero_classifier(num_classes: int, dim: int, dropout_rho: float) -> LinearCla
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the last axis, computed in place in ``logits``, which it returns."""
+    # the row max, taken over a class-major copy: same values, far fewer strided reductions
+    logits -= logits.swapaxes(-1, -2).copy().max(axis=-2)[..., None]
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def train(
@@ -123,8 +126,9 @@ def train_batch(
     vectors, each of which may be None. Returns one entry per cell: its
     ``LinearClassifier``, or the error a solo ``train`` of that cell raises
     (a ``ValueError`` for bad weights, ``TrainingDiverged`` at the same
-    epoch). A cell that fails drops out and the others keep training; every
-    cell's result is bit-identical to its solo fit.
+    epoch). Cells do not interact: a failed cell stays in the stack and the
+    others keep training, until every cell has failed; every cell's result
+    is bit-identical to its solo fit.
 
     Cell k draws its masks from its own default_rng(seeds[k]) into a shared
     float32 buffer, ``MASK_BLOCK_BYTES`` worth of epochs at a time; one draw
@@ -138,52 +142,47 @@ def train_batch(
     k_cells, n, d = X.shape
     rho = config.dropout_rho
     results = [None] * k_cells
-    wn = np.empty((k_cells, n))
+    wn = np.zeros((k_cells, n))
     for k, w in enumerate([None] * k_cells if sample_weights is None else sample_weights):
         try:
             wn[k] = _normalized_weights(w, n)
         except ValueError as exc:
             results[k] = exc
-    cells = np.array([k for k, r in enumerate(results) if r is None], dtype=np.int64)
-    if len(cells) < k_cells:
-        X, Y, wn = X[cells], Y[cells], wn[cells]
-    rngs = [np.random.default_rng(seeds[k]) for k in cells]
+    alive = np.array([r is None for r in results])
+    if not alive.any():
+        return results
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     tiny = np.finfo(np.float64).tiny
 
     X_scaled = X / (1.0 - rho)
-    aug = np.ones((len(cells), n, d + 1))
-    params = np.zeros((len(cells), num_classes, d + 1))
+    aug = np.ones((k_cells, n, d + 1))
+    params = np.zeros((k_cells, num_classes, d + 1))
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     lr, wd = config.learning_rate, config.weight_decay
-    block = min(config.epochs, max(1, MASK_BLOCK_BYTES // max(1, 4 * len(cells) * n * d)))
-    buf = np.empty((len(cells), block, n, d), dtype=np.float32)
-    hit = _flat_targets(Y, num_classes)
+    block = min(config.epochs, max(1, MASK_BLOCK_BYTES // max(1, 4 * k_cells * n * d)))
+    buf = np.empty((k_cells, block, n, d), dtype=np.float32)
+    # flat position of each row's label in the (K, n, C) probability stack
+    hit = np.arange(k_cells * n).reshape(k_cells, n) * num_classes + Y
 
     for epoch in range(1, config.epochs + 1):
-        if not len(cells):
-            break
         e = (epoch - 1) % block
         if e == 0:
-            for k, rng in enumerate(rngs):
-                rng.random(dtype=np.float32, out=buf[k, : min(block, config.epochs - epoch + 1)])
-            keep = buf[: len(cells)] >= rho
+            for k in np.flatnonzero(alive):
+                rngs[k].random(dtype=np.float32, out=buf[k, : min(block, config.epochs - epoch + 1)])
+            keep = buf >= rho
         np.multiply(X_scaled, keep[:, e], out=aug[:, :, :d])
-        probs = aug @ params.transpose(0, 2, 1)
-        # the row max, taken over a class-major copy: same values, far fewer strided reductions
-        probs -= probs.transpose(0, 2, 1).copy().max(axis=1)[:, :, None]
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=2, keepdims=True)
+        probs = _softmax(aug @ params.transpose(0, 2, 1))
         flat = probs.reshape(-1)
         loss = -np.einsum("kn,kn->k", wn, np.log(np.maximum(flat[hit], tiny)))
-        ok = np.isfinite(loss)
-        if not ok.all():
-            for k in cells[~ok]:
+        finite = np.isfinite(loss)
+        if not finite.all():
+            # a failed cell keeps its slot, which no other cell's arithmetic reads
+            for k in np.flatnonzero(alive & ~finite):
                 results[k] = TrainingDiverged(epoch)
-            cells, rngs = cells[ok], [rng for rng, alive in zip(rngs, ok) if alive]
-            X_scaled, Y, wn, aug, keep = X_scaled[ok], Y[ok], wn[ok], aug[ok], keep[ok]
-            params, m, v, probs = params[ok], m[ok], v[ok], probs[ok]
-            hit, flat = _flat_targets(Y, num_classes), probs.reshape(-1)
+            alive &= finite
+            if not alive.any():
+                break
 
         flat[hit] -= 1.0
         probs *= wn[:, :, None]
@@ -197,18 +196,13 @@ def train_batch(
         )
         params -= lr * step + lr * wd * params
 
-    for k, p in zip(cells, params):
+    for k in np.flatnonzero(alive):
+        p = params[k]
         if np.all(np.isfinite(p)):
             results[k] = LinearClassifier(p[:, :d].copy(), p[:, d].copy(), rho)
         else:
             results[k] = TrainingDiverged(config.epochs)
     return results
-
-
-def _flat_targets(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Flat positions of each row's label in a (K, n, C) probability stack."""
-    k_cells, n = labels.shape
-    return (np.arange(k_cells)[:, None] * n + np.arange(n)) * num_classes + labels
 
 
 def predict_proba(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:

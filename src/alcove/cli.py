@@ -195,18 +195,6 @@ def _add_query_flags(p: argparse.ArgumentParser):
     p.add_argument("--rho", type=float, default=TrainConfig.dropout_rho, dest="dropout_rho",
                    help="feature dropout ratio of training, bald/powerbald, inference "
                         "dropout and dropquery")
-    p.add_argument("--mc", type=int, default=QuerySpec.mc_samples, dest="mc_samples",
-                   help="MC dropout samples (BALD)")
-    p.add_argument("--beta", type=float, default=QuerySpec.power_beta, dest="power_beta",
-                   help="powerbald exponent")
-    p.add_argument("--purity", type=float, default=QuerySpec.probcover_purity,
-                   dest="probcover_purity", help="probcover purity threshold")
-    p.add_argument("--eps-scale", type=float, default=QuerySpec.alfamix_eps_scale,
-                   dest="alfamix_eps_scale")
-    p.add_argument("--max-clusters", type=int, default=QuerySpec.typiclust_max_clusters,
-                   dest="typiclust_max_clusters")
-    p.add_argument("--knn", type=int, default=QuerySpec.typiclust_knn, dest="typiclust_knn",
-                   help="typicality neighbor count")
     p.add_argument("--diversify", action="store_true",
                    help="cluster the top-K*B shortlist instead of plain top-B")
     p.add_argument("--inference-dropout", action="store_true", dest="inference_dropout",

@@ -187,6 +187,8 @@ def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     """k-means++ seeding: first seed uniform, then D^2-weighted draws."""
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     if k > m:
         raise ValueError(f"k={k} exceeds number of points {m}")
     sq = _sq_norms(points)

@@ -175,10 +175,7 @@ def start(
     delta = None
     if config.strategy.kind == "probcover":
         delta = estimate_delta(
-            inputs.pool_features,
-            dataset.num_classes,
-            config.strategy.probcover_purity,
-            derive_seed(seed, "probcover/delta"),
+            inputs.pool_features, dataset.num_classes, seed=derive_seed(seed, "probcover/delta")
         )
     cell = Cell(
         dataset,

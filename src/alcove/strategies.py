@@ -27,6 +27,18 @@ from .rng import derive_rng, derive_seed
 
 # a diversified query clusters the top SHORTLIST_FACTOR * B scored points
 SHORTLIST_FACTOR = 50
+# MC dropout passes per bald and powerbald score (BALD, Gal et al. 2017)
+MC_SAMPLES = 20
+# powerbald sampling exponent (PowerBALD, Kirsch et al. 2023)
+POWER_BETA = 1.0
+# alfamix step size, eps = ALFAMIX_EPS_SCALE / sqrt(d) (ALFA-Mix, Parvaneh et al. 2022)
+ALFAMIX_EPS_SCALE = 0.2
+# cap on typiclust's cluster count (TypiClust, Hacohen et al. 2022)
+TYPICLUST_MAX_CLUSTERS = 500
+# neighbours behind each typicality score (TypiClust, Hacohen et al. 2022)
+TYPICLUST_KNN = 20
+# pseudo-label purity the probcover radius must clear (ProbCover, Yehuda et al. 2022)
+PROBCOVER_PURITY = 0.95
 
 
 class StrategyUnavailable(RuntimeError):
@@ -35,32 +47,27 @@ class StrategyUnavailable(RuntimeError):
 
 @dataclass
 class QuerySpec:
-    """Strategy identifier plus its hyperparameters (defaults = benchmark protocol).
+    """Strategy kind plus only the switches a run varies (defaults = benchmark protocol).
 
-    The feature-dropout ratio is not one of them: bald, powerbald, inference
-    dropout and dropquery all use ``clf.dropout_rho``, the ratio of training.
+    The baselines' own hyperparameters are module constants (MC_SAMPLES,
+    POWER_BETA, ...), fixed as published. The feature-dropout ratio is not a
+    field either: bald, powerbald, inference dropout and dropquery all use
+    ``clf.dropout_rho``, the ratio of training.
     """
 
     kind: str
     diversify: bool = False
     inference_dropout: bool = False
-    mc_samples: int = 20
     dq_m: int = 3
     dq_literal: bool = False
-    power_beta: float = 1.0
-    alfamix_eps_scale: float = 0.2
-    typiclust_max_clusters: int = 500
-    typiclust_knn: int = 20
-    probcover_purity: float = 0.95
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(
                 f"unknown strategy kind {self.kind!r}; choose from {', '.join(STRATEGY_KINDS)}"
             )
-        for name in ("mc_samples", "dq_m", "typiclust_max_clusters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.dq_m < 1:
+            raise ValueError(f"dq_m must be >= 1, got {self.dq_m}")
         if self.inference_dropout and not self.diversify:
             raise ValueError("inference_dropout applies only with diversify=True")
 
@@ -148,8 +155,9 @@ def _cluster_pick(
     the candidates (kmeans seeded with ``seed``), padded to b from ``fallback``
     in order, skipping indices already picked."""
     picked = np.empty(0, dtype=np.int64)
-    if len(candidates):
-        cl = kmeans(features[candidates], min(b, len(candidates)), seed)
+    k = min(b, len(candidates))
+    if k >= 1:
+        cl = kmeans(features[candidates], k, seed)
         picked = candidates[nearest_to_centroids(features[candidates], cl)]
     return _pad(picked, fallback, b)
 
@@ -338,7 +346,7 @@ def query_typiclust(
 def estimate_delta(
     features: np.ndarray,
     num_classes: int,
-    purity_threshold: float = 0.95,
+    purity_threshold: float = PROBCOVER_PURITY,
     seed: int = 0,
 ) -> float:
     """Largest ball radius on a log grid whose pseudo-label purity clears the threshold.
@@ -473,7 +481,7 @@ def _scores(spec: QuerySpec, r: _Round) -> np.ndarray:
     """Acquisition scores of the unlabeled points, higher = query first."""
     U = r.features[r.unlabeled]
     if spec.kind in ("bald", "powerbald"):
-        return score_bald(mc_dropout_proba(r.clf, U, spec.mc_samples, derive_seed(r.seed, "mc")))
+        return score_bald(mc_dropout_proba(r.clf, U, MC_SAMPLES, derive_seed(r.seed, "mc")))
     if spec.inference_dropout:
         probs = mc_dropout_proba(r.clf, U, 1, derive_seed(r.seed, "inference-dropout"))[0]
     else:
@@ -506,19 +514,17 @@ _STRATEGIES = {
     "margins": _ranked,
     "bald": _ranked,
     "powerbald": lambda spec, r: query_powerbald(
-        _scores(spec, r), r.unlabeled, r.b, spec.power_beta, derive_rng(r.seed, "power")
+        _scores(spec, r), r.unlabeled, r.b, POWER_BETA, derive_rng(r.seed, "power")
     ),
     "coreset": lambda spec, r: query_coreset(r.features, r.labeled, r.unlabeled, r.b),
     "badge": lambda spec, r: query_badge(
         r.features, r.clf, r.unlabeled, r.b, derive_rng(r.seed, "badge")
     ),
     "alfamix": lambda spec, r: query_alfamix(
-        r.features, r.clf, r.labeled, r.labeled_labels, r.unlabeled, r.b,
-        spec.alfamix_eps_scale, r.seed,
+        r.features, r.clf, r.labeled, r.labeled_labels, r.unlabeled, r.b, ALFAMIX_EPS_SCALE, r.seed
     ),
     "typiclust": lambda spec, r: query_typiclust(
-        r.features, r.labeled, r.unlabeled, r.b,
-        spec.typiclust_max_clusters, spec.typiclust_knn, r.seed,
+        r.features, r.labeled, r.unlabeled, r.b, TYPICLUST_MAX_CLUSTERS, TYPICLUST_KNN, r.seed
     ),
     "probcover": _probcover,
     "dropquery": lambda spec, r: dropquery(

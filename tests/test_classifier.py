@@ -123,6 +123,14 @@ def test_train_batch_isolates_bad_sample_weights():
         assert batch[k].weights.tobytes() == ref_w.tobytes()
 
 
+def test_train_batch_with_only_bad_sample_weights_fails_every_cell():
+    X, Y, seeds, _ = _cells(np.random.default_rng(5), 3, 8, 2, 2)
+    bad = [-np.ones(8), np.full(8, np.nan), np.ones(7)]
+    batch = train_batch(X, Y, 2, TrainConfig(epochs=5), seeds, bad)
+    assert [type(r) for r in batch] == [ValueError] * 3
+    assert all("sample_weights must be 8 " in str(r) for r in batch)
+
+
 class TestSampleWeights:
     X = np.random.default_rng(3).normal(size=(6, 2))
     y = np.array([0, 1, 0, 1, 0, 1])
@@ -182,6 +190,15 @@ class TestPredictProba:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             predict_proba(zero_classifier(2, 3, 0.75), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("num_classes", [9, 50])
+    def test_equals_reference_softmax_bitwise(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        clf = LinearClassifier(rng.normal(size=(num_classes, 7)), rng.normal(size=num_classes))
+        X = rng.normal(size=(40, 7)) * 10
+        logits = X @ clf.weights.T + clf.bias
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert predict_proba(clf, X).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
 
 
 @pytest.mark.parametrize("rho", [-0.1, 1.0, 1.5])

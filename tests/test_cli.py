@@ -180,6 +180,19 @@ class TestBench:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag", ["--mc", "--beta", "--eps-scale", "--max-clusters", "--knn", "--purity"]
+    )
+    def test_baseline_hyperparameter_flags_are_gone(self, dataset_dir, tmp_path, flag):
+        out = tmp_path / "res"
+        with pytest.raises(SystemExit) as err:
+            run_cli(
+                "bench", "--data", str(dataset_dir), "--out", str(out),
+                "--strategies", "random", "--seeds", "1", "--iterations", "1", flag, "5",
+            )
+        assert err.value.code == 2
+        assert not out.exists()
+
     def test_query_flags_map_onto_spec_fields_and_defaults(self):
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -108,8 +108,16 @@ class TestKmeansppSeed:
         with pytest.raises(ValueError):
             kmeanspp_seed(np.zeros((2, 1)), 3, np.random.default_rng(0))
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k=0"):
+            kmeanspp_seed(np.zeros((2, 1)), 0, np.random.default_rng(0))
+
 
 class TestKmeans:
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k=0"):
+            kmeans(np.zeros((3, 2)), 0, seed=0)
+
     def test_single_cluster_is_global_mean(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(12, 3))

