@@ -22,11 +22,14 @@ import numpy as np
 MANIFEST_NAME = "dataset.json"
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingDataset:
     """An N x d feature matrix with hidden labels and a train/test split.
 
-    Immutable after construction.
+    Immutable after construction: ``run_al`` and ``run_bench`` cache what
+    they derive from it (float64 features, kNN graph, cold starts) per
+    object, so an in-place edit of its arrays is not seen. Equality and
+    hashing are by identity.
     """
 
     features: np.ndarray  # (n, d) float32

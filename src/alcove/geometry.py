@@ -195,6 +195,22 @@ def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return _kmeanspp_from_dist(m, k, rng, lambda j: _dist_to_point(points, sq, j))
 
 
+def _cluster_sums(points: np.ndarray, assignments: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per cluster, the sum of its member rows in index order (+0.0 when empty).
+
+    One product of a k x m CSR matrix of ones with the points. scipy's
+    CSR-dense kernel zero-fills each output row and adds its columns in
+    stored order, so the sums equal np.add.at's bit for bit.
+    """
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    members = np.argsort(assignments, kind="stable")
+    ones = sp.csr_matrix(
+        (np.ones(len(members)), members, indptr), shape=(len(counts), len(assignments))
+    )
+    return ones @ points
+
+
 def kmeans(points: np.ndarray, k: int, seed: int) -> Clustering:
     """Lloyd iterations from k-means++ seeds (rng = default_rng(seed)).
 
@@ -206,7 +222,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> Clustering:
     picks pad them.
     """
     points = np.asarray(points, dtype=np.float64)
-    m, d = points.shape
+    m, _ = points.shape
     if k > m:
         raise ValueError(f"k={k} exceeds number of points {m}")
     rng = np.random.default_rng(seed)
@@ -222,8 +238,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> Clustering:
     history = [inertia]
     for _ in range(KMEANS_MAX_ITERS):
         counts = np.bincount(assignments, minlength=k)
-        sums = np.zeros((k, d))
-        np.add.at(sums, assignments, points)
+        sums = _cluster_sums(points, assignments, counts)
         new_centroids = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], 0.0)
 
         empties = np.flatnonzero(counts == 0)

@@ -10,9 +10,12 @@ A cell is one (strategy, seed) trajectory. ``start`` sets it up and each
 round is cut at its fit: ``training_inputs`` gives what to train on, and
 ``finish_round`` evaluates the fitted head, queries and reveals. ``run_al``
 drives one cell; ``run_bench`` drives a grid's cells in lockstep and fits
-each round's heads together with ``train_batch``.
+each round's heads together with ``train_batch``. Both read what no run
+changes (the float64 features, the sorted pool, the kNN graph and the cold
+starts) from ``grid_inputs``, built once per dataset object.
 """
 
+import weakref
 from collections import defaultdict
 from dataclasses import astuple, dataclass, field
 from typing import NamedTuple, Optional
@@ -103,7 +106,7 @@ class LabelOracle:
 
 @dataclass
 class GridInputs:
-    """What the cells of a grid on one dataset share and only read.
+    """What the cells on one dataset share and only read.
 
     ``start`` adds the kNN graph when the first semisupervised cell starts,
     and a random or centroid cold start when the first cell with its
@@ -117,10 +120,27 @@ class GridInputs:
     cold_starts: dict = field(default_factory=dict)  # (init, B, seed) -> initial pool
 
 
+# one GridInputs per live dataset object; an entry goes with its dataset
+_GRID_INPUTS = weakref.WeakKeyDictionary()
+
+
 def grid_inputs(dataset: EmbeddingDataset) -> GridInputs:
-    features = np.asarray(dataset.features, dtype=np.float64)
-    pool = np.sort(dataset.train_indices)
-    return GridInputs(features, pool, features[pool])
+    """The dataset's shared inputs, built on first use and kept while it lives."""
+    inputs = _GRID_INPUTS.get(dataset)
+    if inputs is None:
+        # copies, so that marking them read-only leaves the dataset's arrays be
+        features = np.array(dataset.features, dtype=np.float64)
+        pool = np.sort(dataset.train_indices)
+        inputs = _GRID_INPUTS[dataset] = GridInputs(
+            _read_only(features), _read_only(pool), _read_only(features[pool])
+        )
+    return inputs
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, locked: every later run on the dataset reads it, so a write must fail."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass
@@ -164,11 +184,9 @@ class Fit(NamedTuple):
     weights: Optional[np.ndarray]
 
 
-def start(
-    dataset: EmbeddingDataset, config: RunConfig, seed: int, inputs: Optional[GridInputs] = None
-) -> Cell:
-    """Set up one cell and reveal its initial pool; ``inputs`` (None: built here) are shared."""
-    inputs = grid_inputs(dataset) if inputs is None else inputs
+def start(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> Cell:
+    """Set up one cell on the dataset's shared ``grid_inputs`` and reveal its initial pool."""
+    inputs = grid_inputs(dataset)
     if config.semisupervised and inputs.graph is None:
         inputs.graph = build_knn_graph(inputs.pool_features)
     b = config.budget or dataset.num_classes
@@ -204,7 +222,7 @@ def start(
         key = (config.init, b, seed)
         if key not in inputs.cold_starts:
             init_seed = derive_seed(seed, "init")
-            inputs.cold_starts[key] = (
+            inputs.cold_starts[key] = _read_only(
                 random_init(inputs.pool, b, init_seed)
                 if config.init == "random"
                 else centroid_init(inputs.features, inputs.pool, b, init_seed)
@@ -272,11 +290,11 @@ def run_bench(dataset: EmbeddingDataset, configs, seeds=DEFAULT_SEEDS) -> BenchR
     Every cell advances one round at a time. At each round the cells whose
     fits have the same row count and ``TrainConfig`` are fit together by
     ``train_batch``, in groups cut to ``FIT_BATCH_BYTES``; only one group's
-    training inputs are held at a time. The features, the sorted pool, the
-    kNN graph and each seed's random or centroid cold start are built once
-    for the grid. Each cell's rows equal those of ``run_al`` on it, and a
-    failing cell is reported without aborting the rest. Records come back
-    sorted by (strategy, seed), failures by (strategy_id, seed).
+    training inputs are held at a time. The cells share the dataset's
+    ``grid_inputs``, as ``run_al`` does. Each cell's rows equal those of
+    ``run_al`` on it, and a failing cell is reported without aborting the
+    rest. Records come back sorted by (strategy, seed), failures by
+    (strategy_id, seed).
     """
     ids = [config.strategy.strategy_id() for config in configs]
     for sid in ids:
@@ -287,12 +305,11 @@ def run_bench(dataset: EmbeddingDataset, configs, seeds=DEFAULT_SEEDS) -> BenchR
         if seeds.count(s) > 1:
             raise ValueError(f"seeds repeat {s!r}; give each seed once")
     result = BenchResult()
-    inputs = grid_inputs(dataset)
     cells = []
     for sid, config in zip(ids, configs):
         for s in seeds:
             try:
-                cells.append(start(dataset, config, s, inputs))
+                cells.append(start(dataset, config, s))
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 result.failures.append(_failure(sid, s, exc))
 

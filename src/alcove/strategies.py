@@ -193,6 +193,8 @@ def query_powerbald(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Sample B indices without replacement with probability ~ (score + 1e-12)^beta."""
+    if not (np.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta={beta} must be finite and >= 0")
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     weights = (np.maximum(np.asarray(bald_scores, dtype=np.float64), 0.0) + 1e-12) ** beta
     b_eff = min(b, len(unlabeled))
@@ -314,6 +316,8 @@ def query_typiclust(
     """Cluster the train pool and take unlabeled members round-robin over the
     clusters ranked by labeled count asc, size desc, id asc: the densest of
     each, then the second densest of each cluster with one left, and so on."""
+    if knn_k < 1:
+        raise ValueError(f"knn_k={knn_k} must be at least 1")
     b_eff = min(b, len(unlabeled))
     if b_eff == 0:
         return np.empty(0, dtype=np.int64)
@@ -355,6 +359,8 @@ def estimate_delta(
     log-spaced radii between the 1st and 99th percentile of 2000 sampled
     pairwise distances (pairs from default_rng(seed)).
     """
+    if not 0.0 <= purity_threshold <= 1.0:
+        raise ValueError(f"purity_threshold={purity_threshold} must be in [0, 1]")
     X = np.asarray(features, dtype=np.float64)
     n = X.shape[0]
     if n < 2:

@@ -143,6 +143,14 @@ def aggregate_records(records):
     return out
 
 
+def cluster_sums_add_at(points: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
+    """Per cluster, the sum of its member rows, accumulated by np.add.at in index order."""
+    points = np.asarray(points, dtype=np.float64)
+    sums = np.zeros((k, points.shape[1]))
+    np.add.at(sums, assignments, points)
+    return sums
+
+
 def knn_by_argsort(points: np.ndarray, k: int, d2=None):
     """knn from the full n x n distance matrix d2 (by default
     pairwise_sq_dist(points, points)): the first k columns of each row's

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from alcove import geometry
 from alcove.geometry import (
     greedy_k_center,
     kmeans,
@@ -11,6 +12,7 @@ from alcove.geometry import (
     nearest_to_centroids,
     pairwise_sq_dist,
 )
+from oracles import cluster_sums_add_at
 
 
 def naive_sq_dist(a, b):
@@ -243,3 +245,42 @@ def test_row_permutation_changes_only_indices():
         orig = greedy_k_center(pts, [], b)
         shuffled = greedy_k_center(pts[perm], [], b)
         assert np.allclose(np.sort(pts[orig], axis=0), np.sort(pts[perm][shuffled], axis=0))
+
+
+class TestClusterSums:
+    """Lloyd's cluster sums, one sparse product, against np.add.at bit for bit."""
+
+    @staticmethod
+    def assert_bits_equal(points, assignments, k):
+        counts = np.bincount(assignments, minlength=k)
+        got = geometry._cluster_sums(points, assignments, counts)
+        want = cluster_sums_add_at(points, assignments, k)
+        assert got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("m, d, k", [(1, 2, 1), (7, 3, 4), (200, 16, 9), (800, 32, 210), (500, 5, 50)])
+    def test_random_points_and_empty_clusters(self, m, d, k):
+        rng = np.random.default_rng(m + k)
+        points = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-8, 8, size=(m, 1))
+        assignments = rng.integers(0, k, m)
+        assignments[assignments == k // 2] = 0  # cluster k // 2 is empty (unless k == 1)
+        self.assert_bits_equal(points, assignments, k)
+
+    def test_coinciding_points_and_signed_zeros(self):
+        points = np.array([[1.0, -0.0], [1.0, -0.0], [1.0, -0.0], [-0.0, -0.0], [0.1, 0.2], [0.2, 0.1]])
+        assignments = np.array([2, 0, 2, 1, 3, 3])
+        # cluster 1's only member is -0.0, which sums to +0.0 as np.add.at does
+        self.assert_bits_equal(points, assignments, 5)
+        counts = np.bincount(assignments, minlength=5)
+        assert np.signbit(geometry._cluster_sums(points, assignments, counts)[1]).tolist() == [False, False]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kmeans_equals_add_at_lloyd(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        points = np.vstack([rng.normal(size=(60, 4)), np.zeros((8, 4))])  # 8 coinciding points
+        got = kmeans(points, 12, seed)
+        monkeypatch.setattr(geometry, "_cluster_sums", lambda p, a, c: cluster_sums_add_at(p, a, len(c)))
+        want = kmeans(points, 12, seed)
+        assert got.assignments.tolist() == want.assignments.tolist()
+        assert got.centroids.view(np.int64).tolist() == want.centroids.view(np.int64).tolist()
+        assert got.inertia_history == want.inertia_history

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import astuple
 
 import numpy as np
@@ -331,3 +332,69 @@ class TestLockstep:
         run_bench(small_dataset(), configs, seeds=(1, 2))
         # one graph for the grid, one cold start per seed
         assert calls == {"graph": 1, "centroid": 2}
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap each named harness function to count its calls; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    return calls
+
+
+def semisup_centroid(kind):
+    return RunConfig(strategy=QuerySpec(kind), iterations=2, init="centroid", train=fast_train(),
+                     semisupervised=True)
+
+
+class TestGridInputs:
+    def test_run_al_builds_shared_work_once_per_dataset(self, monkeypatch):
+        calls = count_calls(monkeypatch, "build_knn_graph", "centroid_init")
+        ds = small_dataset()
+        run_al(ds, semisup_centroid("margins"), seed=1)
+        run_al(ds, semisup_centroid("coreset"), seed=1)
+        assert calls == {"build_knn_graph": 1, "centroid_init": 1}
+        run_al(ds, semisup_centroid("margins"), seed=2)
+        assert calls == {"build_knn_graph": 1, "centroid_init": 2}  # one cold start per seed
+
+    def test_cached_inputs_give_the_rows_of_a_fresh_dataset(self):
+        ds = small_dataset()
+        run_al(ds, semisup_centroid("margins"), seed=1)
+        cached = run_al(ds, semisup_centroid("dropquery"), seed=1)
+        fresh = run_al(small_dataset(), semisup_centroid("dropquery"), seed=1)
+        assert rows_of(cached) == rows_of(fresh)
+
+    def test_run_bench_and_run_al_share_one_entry(self, monkeypatch):
+        calls = count_calls(monkeypatch, "build_knn_graph", "centroid_init")
+        ds = small_dataset()
+        run_bench(ds, [semisup_centroid("margins")], seeds=(3,))
+        inputs = harness.grid_inputs(ds)
+        run_al(ds, semisup_centroid("coreset"), seed=3)
+        assert harness.grid_inputs(ds) is inputs
+        assert calls == {"build_knn_graph": 1, "centroid_init": 1}
+
+    def test_shared_arrays_are_read_only(self):
+        ds = small_dataset()
+        run_al(ds, RunConfig(strategy=QuerySpec("random"), iterations=1, train=fast_train()), seed=1)
+        inputs = harness.grid_inputs(ds)
+        for array in (inputs.features, inputs.pool, inputs.pool_features,
+                      *inputs.cold_starts.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_entry_goes_with_its_dataset(self):
+        gc.collect()
+        before = len(harness._GRID_INPUTS)
+        ds = small_dataset()
+        run_al(ds, semisup_centroid("margins"), seed=1)
+        assert len(harness._GRID_INPUTS) == before + 1
+        del ds
+        gc.collect()
+        assert len(harness._GRID_INPUTS) == before

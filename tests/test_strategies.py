@@ -204,6 +204,17 @@ class TestPowerBald:
         )
         assert abs(wins / 10000 - 0.75) < 0.02
 
+    @pytest.mark.parametrize("beta", [-3.0, -1e-9, float("nan"), float("inf")])
+    def test_beta_not_finite_and_non_negative_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            query_powerbald(np.ones(12), np.arange(12), 3, beta, np.random.default_rng(0))
+
+    def test_zero_beta_samples_uniformly(self):
+        scores = np.array([3.0, 1.0])
+        rng = np.random.default_rng(6)
+        wins = sum(query_powerbald(scores, [0, 1], 1, 0.0, rng)[0] == 0 for _ in range(4000))
+        assert abs(wins / 4000 - 0.5) < 0.03
+
 
 # ---------------------------------------------------------------------------
 # coreset
@@ -465,6 +476,12 @@ class TestTypiclust:
                     expected.append(int(q.pop(0)))
         assert got.tolist() == expected
 
+    @pytest.mark.parametrize("knn_k", [0, -5])
+    def test_knn_k_below_one_rejected(self, knn_k):
+        feats = np.random.default_rng(18).normal(size=(60, 3))
+        with pytest.raises(ValueError, match="knn_k"):
+            query_typiclust(feats, [0, 1], np.arange(2, 60), 3, 500, knn_k, 0)
+
     def test_tie_rule_size_then_id(self):
         # two singleton labeled-free clusters of equal size: smaller cluster id wins
         feats = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
@@ -550,8 +567,14 @@ class TestEstimateDelta:
         rng = np.random.default_rng(21)
         feats = rng.normal(size=(30, 2))
         d_all = estimate_delta(feats, 3, purity_threshold=0.0, seed=1)
-        d_strict = estimate_delta(feats, 3, purity_threshold=1.01, seed=1)
+        d_strict = estimate_delta(feats, 3, purity_threshold=1.0, seed=1)
         assert d_all > d_strict  # threshold 0 accepts the largest grid value
+
+    @pytest.mark.parametrize("threshold", [7.0, 1.01, -1.0, -0.01, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        feats = np.random.default_rng(23).normal(size=(60, 3))
+        with pytest.raises(ValueError, match="purity_threshold"):
+            estimate_delta(feats, 3, purity_threshold=threshold)
 
     def test_single_cluster_data_returns_grid_max(self):
         rng = np.random.default_rng(22)
