@@ -11,8 +11,11 @@ round is cut at its fit: ``training_inputs`` gives what to train on, and
 ``finish_round`` evaluates the fitted head, queries and reveals. ``run_al``
 drives one cell; ``run_bench`` drives a grid's cells in lockstep and fits
 each round's heads together with ``train_batch``. Both read what no run
-changes (the float64 features, the sorted pool, the kNN graph and the cold
-starts) from ``grid_inputs``, built once per dataset object.
+changes (the float64 features, the sorted pool, the kNN graph, the cold
+starts and the heads fit on them) from ``grid_inputs``, built once per
+dataset object. A round-1 head depends on the cold start, the seed and the
+fit settings but not on the strategy, so every cell that shares a
+``head_key`` takes one fit (and, semisupervised, one label propagation).
 """
 
 import weakref
@@ -110,7 +113,9 @@ class GridInputs:
 
     ``start`` adds the kNN graph when the first semisupervised cell starts,
     and a random or centroid cold start when the first cell with its
-    (init, B, seed) starts: neither depends on anything else.
+    (init, B, seed) starts: neither depends on anything else. The first
+    successful round-1 fit on such a cold start adds its head under the
+    cell's ``head_key``: one C x (d + 1) head per key.
     """
 
     features: np.ndarray  # float64, every point
@@ -118,6 +123,7 @@ class GridInputs:
     pool_features: np.ndarray  # features[pool]
     graph: object = None  # kNN graph over pool_features
     cold_starts: dict = field(default_factory=dict)  # (init, B, seed) -> initial pool
+    heads: dict = field(default_factory=dict)  # head_key -> round-1 LinearClassifier
 
 
 # one GridInputs per live dataset object; an entry goes with its dataset
@@ -232,6 +238,27 @@ def start(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> Cell:
     return cell
 
 
+def head_key(cell: Cell) -> Optional[tuple]:
+    """The key under which this round's head is shared in ``GridInputs.heads``, or None.
+
+    Only round 1 from a random or centroid cold start is shared: its inputs
+    are the cold start, the fit seed, the ``TrainConfig`` and, semisupervised,
+    one propagation over the fixed graph, none of which depends on the
+    strategy. An ``own`` cold start and every later round do.
+    """
+    config = cell.config
+    if cell.iteration != 1 or config.init == "own":
+        return None
+    return config.init, cell.b, cell.record.seed, astuple(config.train), config.semisupervised
+
+
+def _keep_head(cell: Cell, key: tuple, clf) -> None:
+    """Share ``clf`` as the head of ``key``, locked like the other shared inputs."""
+    _read_only(clf.weights)
+    _read_only(clf.bias)
+    cell.inputs.heads[key] = clf
+
+
 def training_inputs(cell: Cell) -> Fit:
     """This round's fit: the labeled points, or the whole pool with propagated labels."""
     seed = derive_seed(cell.record.seed, f"train/{cell.iteration}")
@@ -279,8 +306,14 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
     """Simulate one (strategy, seed) active-learning trajectory, one round at a time."""
     cell = start(dataset, config, seed)
     while not cell.done:
-        x, y, fit_seed, weights = training_inputs(cell)
-        finish_round(cell, train(x, y, dataset.num_classes, config.train, fit_seed, weights))
+        key = head_key(cell)
+        clf = cell.inputs.heads.get(key)
+        if clf is None:
+            x, y, fit_seed, weights = training_inputs(cell)
+            clf = train(x, y, dataset.num_classes, config.train, fit_seed, weights)
+            if key is not None:
+                _keep_head(cell, key, clf)
+        finish_round(cell, clf)
     return cell.record
 
 
@@ -291,10 +324,10 @@ def run_bench(dataset: EmbeddingDataset, configs, seeds=DEFAULT_SEEDS) -> BenchR
     fits have the same row count and ``TrainConfig`` are fit together by
     ``train_batch``, in groups cut to ``FIT_BATCH_BYTES``; only one group's
     training inputs are held at a time. The cells share the dataset's
-    ``grid_inputs``, as ``run_al`` does. Each cell's rows equal those of
-    ``run_al`` on it, and a failing cell is reported without aborting the
-    rest. Records come back sorted by (strategy, seed), failures by
-    (strategy_id, seed).
+    ``grid_inputs``, round-1 heads included, as ``run_al`` does. Each
+    cell's rows equal those of ``run_al`` on it, and a failing cell is
+    reported without aborting the rest. Records come back sorted by
+    (strategy, seed), failures by (strategy_id, seed).
     """
     ids = [config.strategy.strategy_id() for config in configs]
     for sid in ids:
@@ -342,32 +375,53 @@ def _failure(sid: str, seed: int, exc: Exception) -> tuple:
 
 
 def _advance(cells, num_classes: int) -> list:
-    """One round of each cell, their heads fit by one ``train_batch``; each cell's error or None."""
-    errors = [None] * len(cells)
+    """One round of each cell, their heads fit by one ``train_batch``; each cell's error or None.
+
+    A cell whose ``head_key`` has a shared head takes it. Of the cells that
+    share a key without one, the first is fit and the rest take its result,
+    head or error; only a head is kept.
+    """
+    results = [None] * len(cells)  # each cell's head or error
+    source = list(range(len(cells)))  # the cell whose result each cell takes
+    firsts = {}  # head_key -> the cell fit for it
     fits = []
     for i, cell in enumerate(cells):
+        key = head_key(cell)
+        if key in cell.inputs.heads:
+            results[i] = cell.inputs.heads[key]
+        elif key in firsts:
+            source[i] = firsts[key]
+        else:
+            if key is not None:
+                firsts[key] = i
+            try:
+                fits.append((i, training_inputs(cell)))
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                results[i] = exc
+    if fits:
         try:
-            fits.append((i, training_inputs(cell)))
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            errors[i] = exc
-    if not fits:
-        return errors
-    try:
-        clfs = train_batch(
-            [f.features for _, f in fits],
-            [f.labels for _, f in fits],
-            num_classes,
-            cells[0].config.train,
-            [f.seed for _, f in fits],
-            [f.weights for _, f in fits],
-        )
-    except Exception as exc:  # noqa: BLE001
-        clfs = [exc] * len(fits)
-    for (i, _), clf in zip(fits, clfs):
+            clfs = train_batch(
+                [f.features for _, f in fits],
+                [f.labels for _, f in fits],
+                num_classes,
+                cells[0].config.train,
+                [f.seed for _, f in fits],
+                [f.weights for _, f in fits],
+            )
+        except Exception as exc:  # noqa: BLE001
+            clfs = [exc] * len(fits)
+        for (i, _), clf in zip(fits, clfs):
+            results[i] = clf
+    for key, i in firsts.items():
+        if not isinstance(results[i], Exception):
+            _keep_head(cells[i], key, results[i])
+    errors = [None] * len(cells)
+    for i, cell in enumerate(cells):
+        clf = results[source[i]]
         try:
             if isinstance(clf, Exception):
                 raise clf
-            finish_round(cells[i], clf)
+            finish_round(cell, clf)
         except Exception as exc:  # noqa: BLE001
             errors[i] = exc
     return errors

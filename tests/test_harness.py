@@ -1,10 +1,10 @@
 import gc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from alcove.classifier import TrainConfig, train_batch
+from alcove.classifier import TrainConfig, TrainingDiverged, train_batch
 from alcove.dataset_io import EmbeddingDataset, generate_synthetic
 from alcove import harness
 from alcove.harness import LabelOracle, RunConfig, run_al, run_bench
@@ -268,6 +268,30 @@ GRIDS = {
 }
 
 
+def count_batches(monkeypatch):
+    """Wrap ``harness.train_batch`` to list the cell count of each call; returns the list."""
+    batches = []
+
+    def counting(features, *args, **kwargs):
+        batches.append(len(features))
+        return train_batch(features, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_batch", counting)
+    return batches
+
+
+def full_grid_batches(monkeypatch, seeds):
+    """The cell count of each ``train_batch`` of a 12-kind, 4-round grid."""
+    batches = count_batches(monkeypatch)
+    configs = [
+        RunConfig(strategy=QuerySpec(kind), iterations=4, train=fast_train())
+        for kind in STRATEGY_KINDS
+    ]
+    bench = run_bench(small_dataset(), configs, seeds=seeds)
+    assert len(bench.records) == 12 * len(seeds) and not bench.failures
+    return batches
+
+
 class TestLockstep:
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_rows_equal_run_al(self, name):
@@ -302,20 +326,28 @@ class TestLockstep:
         assert alone.failures == batched.failures
 
     def test_each_round_of_a_full_grid_is_one_fit(self, monkeypatch):
-        batches = []
+        # round 1's 12 cells share one cold start, so they share one head
+        assert full_grid_batches(monkeypatch, seeds=(1,)) == [1, 12, 12, 12]
 
-        def counting(features, *args, **kwargs):
-            batches.append(len(features))
-            return train_batch(features, *args, **kwargs)
+    def test_each_round_of_a_two_seed_grid_is_one_fit(self, monkeypatch):
+        assert full_grid_batches(monkeypatch, seeds=(1, 2)) == [2, 24, 24, 24]
 
-        monkeypatch.setattr(harness, "train_batch", counting)
-        configs = [
-            RunConfig(strategy=QuerySpec(kind), iterations=4, train=fast_train())
-            for kind in STRATEGY_KINDS
-        ]
-        bench = run_bench(small_dataset(), configs, seeds=(1,))
-        assert len(bench.records) == 12 and not bench.failures
-        assert batches == [12, 12, 12, 12]
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_rows_equal_run_al_on_a_fresh_dataset(self, name):
+        # each solo run gets its own dataset object, so no head is shared with it
+        make_dataset, configs = GRIDS[name]
+        seeds = (2, 1)
+        bench = run_bench(make_dataset(), configs, seeds)
+        expected, failures = {}, []
+        for config in configs:
+            sid = config.strategy.strategy_id()
+            for s in seeds:
+                try:
+                    expected[sid, s] = rows_of(run_al(make_dataset(), config, s))
+                except Exception as exc:
+                    failures.append((sid, s, f"{type(exc).__name__}: {exc}"))
+        assert {(r.strategy, r.seed): rows_of(r) for r in bench.records} == expected
+        assert bench.failures == sorted(failures)
 
     def test_shared_work_is_built_once_per_grid(self, monkeypatch):
         calls = {"graph": 0, "centroid": 0}
@@ -398,3 +430,91 @@ class TestGridInputs:
         del ds
         gc.collect()
         assert len(harness._GRID_INPUTS) == before
+
+
+def diverging_train():
+    # runaway decoupled weight decay overflows every fit within a few epochs
+    return TrainConfig(learning_rate=1.0, weight_decay=1e200, dropout_rho=0.0, epochs=40)
+
+
+class TestRoundOneHeads:
+    def test_run_al_fits_round_one_once_per_seed(self, monkeypatch):
+        calls = count_calls(monkeypatch, "train")
+        ds = small_dataset()
+        for kind in STRATEGY_KINDS:
+            run_al(ds, RunConfig(strategy=QuerySpec(kind), iterations=2, train=fast_train()), seed=1)
+        assert calls == {"train": 1 + 12}  # one shared round 1, then each cell's round 2
+        assert len(harness.grid_inputs(ds).heads) == 1
+
+    def test_semisupervised_round_one_propagates_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "label_propagate")
+        ds = small_dataset()
+        for kind in ("margins", "coreset", "dropquery"):
+            run_al(ds, semisup_centroid(kind), seed=1)
+        assert calls == {"label_propagate": 1 + 3}
+
+    def test_own_init_never_shares_a_head(self, monkeypatch):
+        calls = count_calls(monkeypatch, "train")
+        ds = small_dataset()
+        configs = [RunConfig(strategy=QuerySpec(kind), iterations=2, init="own", train=fast_train())
+                   for kind in ("typiclust", "probcover", "dropquery")]
+        for config in configs:
+            run_al(ds, config, seed=1)
+        assert calls == {"train": 2 * 3}
+        bench = run_bench(ds, configs, seeds=(1,))
+        assert len(bench.records) == 3 and calls == {"train": 2 * 3}
+        assert harness.grid_inputs(ds).heads == {}
+
+    def test_each_setting_of_the_fit_has_its_own_head(self, monkeypatch):
+        calls = count_calls(monkeypatch, "train")
+        ds = small_dataset()
+        base = RunConfig(strategy=QuerySpec("random"), iterations=1, train=fast_train())
+        variants = [
+            base,
+            replace(base, strategy=QuerySpec("margins")),  # shares base's head
+            replace(base, train=TrainConfig(dropout_rho=0.25, epochs=41)),
+            replace(base, budget=3),
+            replace(base, semisupervised=True),
+            replace(base, init="centroid"),
+        ]
+        for config in variants:
+            run_al(ds, config, seed=1)
+        run_al(ds, base, seed=2)
+        assert calls == {"train": 6}
+        keys = set(harness.grid_inputs(ds).heads)
+        assert len(keys) == 6
+        assert {key[:3] for key in keys} == {
+            ("random", 4, 1), ("random", 3, 1), ("centroid", 4, 1), ("random", 4, 2)
+        }
+
+    def test_cached_heads_are_read_only(self):
+        ds = small_dataset()
+        run_bench(ds, [semisup_centroid("margins")], seeds=(1,))
+        run_al(ds, RunConfig(strategy=QuerySpec("random"), iterations=1, train=fast_train()), seed=1)
+        heads = harness.grid_inputs(ds).heads
+        assert len(heads) == 2
+        for clf in heads.values():
+            for array in (clf.weights, clf.bias):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    def test_diverging_round_one_is_not_cached(self, monkeypatch):
+        configs = [RunConfig(strategy=QuerySpec(kind), iterations=2, train=diverging_train())
+                   for kind in ("random", "entropy", "coreset")]
+        solo = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for config in configs:
+                with pytest.raises(TrainingDiverged) as err:
+                    run_al(small_dataset(), config, seed=1)
+                solo.append((config.strategy.strategy_id(), 1, f"TrainingDiverged: {err.value}"))
+            ds = small_dataset()
+            calls = count_calls(monkeypatch, "train")
+            for config in configs:
+                with pytest.raises(TrainingDiverged):
+                    run_al(ds, config, seed=1)
+            assert calls == {"train": 3}
+            batches = count_batches(monkeypatch)
+            bench = run_bench(ds, configs, seeds=(1,))
+        assert batches == [1]  # the grid's three cells took one fit and its error
+        assert not bench.records and bench.failures == sorted(solo)
+        assert harness.grid_inputs(ds).heads == {}
