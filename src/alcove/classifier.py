@@ -6,6 +6,7 @@ regime are tiny, so full-batch keeps every run deterministic and cheap.
 """
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -213,19 +214,30 @@ def predict_proba(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
     return _softmax(X @ clf.weights.T + clf.bias)
 
 
-def mc_dropout_proba(
+def _dropout_pass(clf: LinearClassifier, X: np.ndarray, rng, buf: np.ndarray) -> np.ndarray:
+    """One pass's probabilities; the mask is drawn, applied and scaled in ``buf``."""
+    rng.random(out=buf)
+    np.greater_equal(buf, clf.dropout_rho, out=buf)
+    buf *= X
+    buf /= 1.0 - clf.dropout_rho
+    return _softmax(buf @ clf.weights.T + clf.bias)
+
+
+def mc_dropout_passes(
     clf: LinearClassifier,
     features: np.ndarray,
     samples: int,
     seed: int,
-) -> np.ndarray:
-    """Stacked probabilities under ``samples`` independent feature-dropout passes.
+) -> Iterator[np.ndarray]:
+    """The (n, C) probabilities of ``samples`` feature-dropout passes, yielded one at a time.
 
     The ratio rho is the one the classifier was trained with, ``clf.dropout_rho``.
     Pass s keeps the entries where the s-th (n, d) draw of default_rng(seed).random
     is >= rho, scaled by 1/(1 - rho); drawing per pass gives the same stream as
-    one random((samples, n, d)) draw, at n*d memory. Returns an array of shape
-    (samples, n, C). rho=0 keeps every entry, reproducing predict_proba exactly.
+    one random((samples, n, d)) draw. Every pass draws into, masks and scales
+    one reused n x d buffer, so iterating holds n*d floats plus the current
+    pass. rho=0 keeps every entry, reproducing predict_proba exactly. Bad
+    features or a bad ratio raise here, before any pass.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != clf.dim:
@@ -234,10 +246,26 @@ def mc_dropout_proba(
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"the classifier's dropout_rho must be in [0, 1), got {rho}")
     rng = np.random.default_rng(seed)
+    buf = np.empty(X.shape)
+    return (_dropout_pass(clf, X, rng, buf) for _ in range(samples))
+
+
+def mc_dropout_proba(
+    clf: LinearClassifier,
+    features: np.ndarray,
+    samples: int,
+    seed: int,
+) -> np.ndarray:
+    """``mc_dropout_passes`` stacked into one (samples, n, C) array.
+
+    Callers that only reduce over the passes iterate ``mc_dropout_passes``
+    instead and never hold the stack.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    passes = mc_dropout_passes(clf, X, samples, seed)
     out = np.empty((samples, X.shape[0], clf.num_classes))
-    for s in range(samples):
-        dropped = X * (rng.random(X.shape) >= rho) / (1.0 - rho)
-        out[s] = _softmax(dropped @ clf.weights.T + clf.bias)
+    for s, probs in enumerate(passes):
+        out[s] = probs
     return out
 
 

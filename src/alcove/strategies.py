@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .classifier import LinearClassifier, mc_dropout_proba, predict_proba
+from .classifier import LinearClassifier, mc_dropout_passes, mc_dropout_proba, predict_proba
 from .geometry import (
     _ball_graph,
     _kmeanspp_from_dist,
@@ -114,12 +114,27 @@ def score_margin(probs: np.ndarray) -> np.ndarray:
     return -(p[:, -1] - p[:, -2])
 
 
-def score_bald(mc_probs: np.ndarray) -> np.ndarray:
-    """Mutual information: entropy of the mean minus mean entropy, clamped >= 0."""
-    mc = np.asarray(mc_probs, dtype=np.float64)
-    mean_entropy = score_entropy(mc).mean(axis=0)
-    entropy_mean = score_entropy(mc.mean(axis=0))
-    return np.maximum(entropy_mean - mean_entropy, 0.0)
+def score_bald(passes) -> np.ndarray:
+    """Mutual information: entropy of the mean minus mean entropy, clamped >= 0.
+
+    ``passes`` is any iterable of (n, C) probability arrays, such as a
+    (samples, n, C) stack or ``mc_dropout_passes``. Only the running sums of
+    the probabilities and of the per-pass entropies are kept. They add the
+    passes in order and divide by the count at the end, as ``mean(axis=0)``
+    does over a stack, so both give the same bits.
+    """
+    count, prob_sum, entropy_sum = 0, None, None
+    for p in passes:
+        p = np.asarray(p, dtype=np.float64)
+        if count == 0:
+            prob_sum, entropy_sum = p.copy(), score_entropy(p)
+        else:
+            prob_sum += p
+            entropy_sum += score_entropy(p)
+        count += 1
+    if count == 0:
+        raise ValueError("score_bald needs at least one pass")
+    return np.maximum(score_entropy(prob_sum / count) - entropy_sum / count, 0.0)
 
 
 def _score_order(scores: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -243,6 +258,34 @@ def query_badge(
     return unlabeled[picks]
 
 
+def _anchor_flips(
+    clf: LinearClassifier, U: np.ndarray, probs: np.ndarray, anchors: np.ndarray, eps: float
+) -> np.ndarray:
+    """How many anchors flip each row's predicted label under alfamix's mixing rule.
+
+    Each anchor is mixed into every row at once, in two n x d buffers made
+    once per call: ``direction`` = anchor - z, and ``mixed``, which holds h,
+    then alpha, then the mixed point, through the same operations in the same
+    order as the rule's plain expression, so the bits match it.
+    """
+    base = np.argmax(probs, axis=1)
+    grads = _probs_minus_onehot(probs) @ clf.weights  # d-loss/d-z at each row
+    direction = np.empty_like(U)
+    mixed = np.empty_like(U)
+    flips = np.zeros(len(U), dtype=np.int64)
+    for anchor in anchors:
+        np.subtract(anchor, U, out=direction)
+        np.multiply(grads, direction, out=mixed)  # h
+        norms = np.sqrt(np.einsum("ij,ij->i", mixed, mixed))
+        mixed *= eps
+        mixed /= np.maximum(norms, 1e-300)[:, None]
+        mixed[~(norms > 0)] = 0.0  # alpha
+        mixed *= direction
+        mixed += U
+        flips += np.argmax(predict_proba(clf, mixed), axis=1) != base
+    return flips
+
+
 def query_alfamix(
     features: np.ndarray,
     clf: LinearClassifier,
@@ -277,17 +320,7 @@ def query_alfamix(
 
     U = X[unlabeled]
     probs = predict_proba(clf, U)
-    base = np.argmax(probs, axis=1)
-    grads = _probs_minus_onehot(probs) @ clf.weights  # d-loss/d-z at each unlabeled point
-
-    flips = np.zeros(len(unlabeled), dtype=np.int64)
-    for anchor in anchors:
-        direction = anchor[None, :] - U
-        h = grads * direction
-        norms = np.sqrt(np.einsum("ij,ij->i", h, h))
-        alpha = np.where(norms[:, None] > 0, eps * h / np.maximum(norms, 1e-300)[:, None], 0.0)
-        mixed = U + alpha * direction
-        flips += np.argmax(predict_proba(clf, mixed), axis=1) != base
+    flips = _anchor_flips(clf, U, probs, anchors, eps)
 
     entropy = score_entropy(probs)
     cand_mask = flips > 0
@@ -371,7 +404,8 @@ def estimate_delta(
     left = rng.integers(0, n, 2000)
     right = rng.integers(0, n - 1, 2000)
     right = np.where(right >= left, right + 1, right)  # pair without i == j
-    sample = np.sqrt(np.einsum("ij,ij->i", X[left] - X[right], X[left] - X[right]))
+    diff = X[left] - X[right]
+    sample = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     lo = max(float(np.percentile(sample, 1)), 1e-12)
     hi = max(float(np.percentile(sample, 99)), lo * (1 + 1e-9))
     grid = np.geomspace(lo, hi, 64)
@@ -487,7 +521,7 @@ def _scores(spec: QuerySpec, r: _Round) -> np.ndarray:
     """Acquisition scores of the unlabeled points, higher = query first."""
     U = r.features[r.unlabeled]
     if spec.kind in ("bald", "powerbald"):
-        return score_bald(mc_dropout_proba(r.clf, U, MC_SAMPLES, derive_seed(r.seed, "mc")))
+        return score_bald(mc_dropout_passes(r.clf, U, MC_SAMPLES, derive_seed(r.seed, "mc")))
     if spec.inference_dropout:
         probs = mc_dropout_proba(r.clf, U, 1, derive_seed(r.seed, "inference-dropout"))[0]
     else:

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg  # noqa: F401  (registers sp.linalg)
 
-from alcove.classifier import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingDiverged
+from alcove.classifier import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingDiverged, predict_proba
 from alcove.geometry import pairwise_sq_dist
 from alcove.semisup import PropagationResult
 
@@ -124,6 +124,29 @@ def adamw_fit(features, labels, num_classes: int, config, seed: int, sample_weig
     if not np.all(np.isfinite(params)):
         raise TrainingDiverged(config.epochs)
     return params[:, :d], params[:, d]
+
+
+def alfamix_anchor_flips(clf, U, probs, anchors, eps) -> np.ndarray:
+    """alfamix's per-row flip counts, with fresh n x d arrays for every anchor.
+
+    The plain expression of the mixing rule: for each anchor, alpha =
+    eps * h / ||h|| (0 where ||h|| is not > 0) with h = grad * (anchor - z),
+    and the mixed point z + alpha * (anchor - z) counts when its predicted
+    label differs from z's.
+    """
+    base = np.argmax(probs, axis=1)
+    onehot_gap = probs.copy()
+    onehot_gap[np.arange(len(probs)), base] -= 1.0
+    grads = onehot_gap @ clf.weights
+    flips = np.zeros(len(U), dtype=np.int64)
+    for anchor in anchors:
+        direction = anchor[None, :] - U
+        h = grads * direction
+        norms = np.sqrt(np.einsum("ij,ij->i", h, h))
+        alpha = np.where(norms[:, None] > 0, eps * h / np.maximum(norms, 1e-300)[:, None], 0.0)
+        mixed = U + alpha * direction
+        flips += np.argmax(predict_proba(clf, mixed), axis=1) != base
+    return flips
 
 
 def aggregate_records(records):

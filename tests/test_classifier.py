@@ -7,6 +7,7 @@ from alcove.classifier import (
     LinearClassifier,
     TrainConfig,
     evaluate,
+    mc_dropout_passes,
     mc_dropout_proba,
     TrainingDiverged,
     predict_proba,
@@ -230,6 +231,9 @@ class TestMcDropout:
         clf = LinearClassifier(weights=np.eye(2), bias=np.zeros(2), dropout_rho=rho)
         with pytest.raises(ValueError, match="dropout_rho"):
             mc_dropout_proba(clf, np.eye(2), 2, seed=0)
+        # the stream checks on the call, before any pass is drawn
+        with pytest.raises(ValueError, match="dropout_rho"):
+            mc_dropout_passes(clf, np.eye(2), 2, seed=0)
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(5)
@@ -238,6 +242,19 @@ class TestMcDropout:
         a = mc_dropout_proba(clf, X, 7, seed=11)
         b = mc_dropout_proba(clf, X, 7, seed=11)
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n, d, c, rho", [(37, 6, 4, 0.5), (300, 64, 50, 0.75), (9, 3, 100, 0.0)])
+    def test_stack_is_the_streamed_passes_with_the_documented_masks(self, n, d, c, rho):
+        rng = np.random.default_rng(n)
+        clf = LinearClassifier(rng.normal(size=(c, d)), rng.normal(size=c), dropout_rho=rho)
+        X = rng.normal(size=(n, d))
+        samples, seed = 5, 17
+        passes = list(mc_dropout_passes(clf, X, samples, seed))
+        assert np.stack(passes).tobytes() == mc_dropout_proba(clf, X, samples, seed).tobytes()
+        masks = np.random.default_rng(seed).random((samples, n, d)) >= rho
+        for s in range(samples):
+            expected = predict_proba(clf, X * masks[s] / (1.0 - rho))
+            assert passes[s].tobytes() == expected.tobytes()
 
     def test_masks_replay_through_scalar_computation(self):
         # hand-built classifier, d=2, C=2; replay the documented mask draw

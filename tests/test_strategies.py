@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from alcove.classifier import (
     LinearClassifier,
+    mc_dropout_passes,
     mc_dropout_proba,
     predict_proba,
     zero_classifier,
@@ -34,7 +36,8 @@ from alcove.strategies import (
     select_topb,
 )
 
-from oracles import badge_sq_dist, typicality
+import oracles
+from oracles import alfamix_anchor_flips, badge_sq_dist, typicality
 
 
 def random_clf(rng, c, d):
@@ -85,6 +88,31 @@ class TestScores:
         # same arithmetic as entropy taken one sample at a time, bit for bit
         per_sample = np.stack([score_entropy(stack[s]) for s in range(3)]).mean(axis=0)
         assert np.array_equal(got, np.maximum(score_entropy(stack.mean(axis=0)) - per_sample, 0.0))
+
+    @pytest.mark.parametrize(
+        "samples, n, d, c", [(20, 300, 32, 50), (20, 120, 64, 100), (1, 200, 16, 50), (7, 513, 8, 3)]
+    )
+    def test_bald_over_streamed_passes_equals_stack_formula(self, samples, n, d, c):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, d))
+        clf = LinearClassifier(rng.normal(size=(c, d)), rng.normal(size=c), dropout_rho=0.75)
+        mc = mc_dropout_proba(clf, X, samples, seed=5)
+        expected = np.maximum(score_entropy(mc.mean(axis=0)) - score_entropy(mc).mean(axis=0), 0.0)
+        assert score_bald(mc_dropout_passes(clf, X, samples, seed=5)).tobytes() == expected.tobytes()
+        assert score_bald(mc).tobytes() == expected.tobytes()
+
+    def test_bald_reads_a_read_only_broadcast_stack(self):
+        raw = np.random.default_rng(6).random((40, 50))
+        stack = np.broadcast_to(raw / raw.sum(axis=1, keepdims=True), (20, 40, 50))
+        expected = np.maximum(
+            score_entropy(stack.mean(axis=0)) - score_entropy(stack).mean(axis=0), 0.0
+        )
+        assert score_bald(stack).tobytes() == expected.tobytes()
+        assert not stack.flags.writeable
+
+    def test_bald_needs_a_pass(self):
+        with pytest.raises(ValueError, match="at least one pass"):
+            score_bald(iter([]))
 
     def test_duplicate_row_locality(self):
         rng = np.random.default_rng(1)
@@ -386,6 +414,62 @@ class TestAlfaMix:
         fallback = by_entropy([0, 2, 4]) + by_entropy([1, 3, 5, 6])
         expected = picked + [i for i in fallback if i not in picked][: b - len(picked)]
         assert got.tolist() == expected
+
+
+ALFAMIX_SHAPES = {
+    "small": (60, 3, 2), "wide": (400, 48, 6), "long": (1100, 16, 10),
+    "zero head": (90, 8, 3), "on anchor": (90, 8, 3),
+}
+
+
+def alfamix_case(name):
+    """(features, classifier, labeled, labels, unlabeled) for an alfamix query."""
+    rng = np.random.default_rng(41)
+    n, d, c = ALFAMIX_SHAPES[name]
+    feats = rng.normal(size=(n, d)) * 2
+    clf = random_clf(rng, c, d)
+    labeled = np.arange(2 * c)
+    labels = labeled % c
+    if name == "zero head":  # every h is 0, so every norm is 0
+        clf = zero_classifier(c, d, 0.75)
+    if name == "on anchor":  # class 0 has one labeled point, and row 30 copies it
+        labeled, labels = labeled[1:], labels[1:]
+        feats[30] = feats[labeled[labels == 0][0]]
+    return feats, clf, labeled, labels, np.setdiff1d(np.arange(n), labeled)
+
+
+@pytest.mark.parametrize("name", ["small", "wide", "long", "zero head", "on anchor"])
+def test_alfamix_buffers_match_the_per_anchor_loop(name, monkeypatch):
+    feats, clf, labeled, labels, unlabeled = alfamix_case(name)
+    U = feats[unlabeled]
+    probs = predict_proba(clf, U)
+    anchors = np.stack([feats[labeled[labels == c]].mean(axis=0) for c in np.unique(labels)])
+    eps = strategies.ALFAMIX_EPS_SCALE / np.sqrt(feats.shape[1])
+    if name == "on anchor":
+        assert np.array_equal(anchors[0], U[np.searchsorted(unlabeled, 30)])
+
+    # the points handed to predict_proba, bit for bit
+    seen = {strategies: [], oracles: []}
+    for module in seen:
+        def record(c, x, mixed=seen[module]):
+            mixed.append(x.copy())
+            return predict_proba(c, x)
+
+        monkeypatch.setattr(module, "predict_proba", record)
+    flips = strategies._anchor_flips(clf, U, probs, anchors, eps)
+    expected = alfamix_anchor_flips(clf, U, probs, anchors, eps)
+    assert flips.tolist() == expected.tolist()
+    assert len(seen[strategies]) == len(seen[oracles]) == len(anchors)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seen[strategies], seen[oracles]))
+    if name == "zero head":
+        assert not flips.any()
+
+    monkeypatch.undo()
+    b = 7
+    got = query_alfamix(feats, clf, labeled, labels, unlabeled, b, strategies.ALFAMIX_EPS_SCALE, 3)
+    monkeypatch.setattr(strategies, "_anchor_flips", alfamix_anchor_flips)
+    ref = query_alfamix(feats, clf, labeled, labels, unlabeled, b, strategies.ALFAMIX_EPS_SCALE, 3)
+    assert got.tolist() == ref.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -761,3 +845,32 @@ def test_probcover_without_delta_names_estimate_delta():
     clf = random_clf(rng, 2, 2)
     with pytest.raises(ValueError, match="estimate_delta"):
         query(QuerySpec(kind="probcover"), feats, clf, [0], [0], np.arange(1, 12), 3, seed=0)
+
+
+def query_peak_bytes(kind, n, d, c):
+    """Peak traced allocation of one query over n random d-dim points with C classes."""
+    rng = np.random.default_rng(42)
+    feats = rng.normal(size=(n, d))
+    clf = LinearClassifier(rng.normal(size=(c, d)) * 0.3, rng.normal(size=c), dropout_rho=0.75)
+    labeled = np.arange(2 * c)
+    unlabeled = np.arange(2 * c, n)
+    tracemalloc.start()
+    try:
+        query(QuerySpec(kind), feats, clf, labeled, labeled % c, unlabeled, 10, seed=1)
+        return tracemalloc.get_traced_memory()[1], len(unlabeled)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["bald", "powerbald"])
+def test_bald_peaks_below_half_a_pass_stack(kind):
+    n, d, c = 3000, 64, 50
+    peak, u = query_peak_bytes(kind, n, d, c)
+    stack = strategies.MC_SAMPLES * u * c * 8
+    assert peak < stack / 2, f"{kind} peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_alfamix_peaks_below_five_point_matrices():
+    n, d, c = 2000, 256, 10
+    peak, u = query_peak_bytes("alfamix", n, d, c)
+    assert peak < 5 * u * d * 8, f"alfamix peaked at {peak / 2**20:.1f} MiB"
