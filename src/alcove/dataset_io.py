@@ -27,9 +27,9 @@ class EmbeddingDataset:
     """An N x d feature matrix with hidden labels and a train/test split.
 
     Immutable after construction: ``run_al`` and ``run_bench`` cache what
-    they derive from it (float64 features, kNN graph, cold starts) per
-    object, so an in-place edit of its arrays is not seen. Equality and
-    hashing are by identity.
+    they derive from it (float64 features, kNN graph, cold starts, round-1
+    heads) per object, so an in-place edit of its arrays is not seen.
+    Equality and hashing are by identity.
     """
 
     features: np.ndarray  # (n, d) float32

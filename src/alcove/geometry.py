@@ -244,7 +244,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> Clustering:
         empties = np.flatnonzero(counts == 0)
         if empties.size:
             resid = points - new_centroids[assignments]
-            gap = np.einsum("ij,ij->i", resid, resid)
+            gap = _sq_norms(resid)
             for cid in empties:
                 far = int(np.argmax(gap))
                 new_centroids[cid] = points[far]

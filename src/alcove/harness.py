@@ -14,8 +14,9 @@ each round's heads together with ``train_batch``. Both read what no run
 changes (the float64 features, the sorted pool, the kNN graph, the cold
 starts and the heads fit on them) from ``grid_inputs``, built once per
 dataset object. A round-1 head depends on the cold start, the seed and the
-fit settings but not on the strategy, so every cell that shares a
-``head_key`` takes one fit (and, semisupervised, one label propagation).
+fit settings but not on the strategy, so ``start`` fits it (and,
+semisupervised, propagates once) next to the random or centroid cold start
+it is fit on, and hands it to every cell that shares them.
 """
 
 import weakref
@@ -25,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .classifier import TrainConfig, evaluate, train, train_batch, zero_classifier
+from .classifier import LinearClassifier, TrainConfig, evaluate, train, train_batch, zero_classifier
 from .dataset_io import EmbeddingDataset
 from .initpool import centroid_init, random_init
 from .rng import derive_seed
@@ -113,9 +114,10 @@ class GridInputs:
 
     ``start`` adds the kNN graph when the first semisupervised cell starts,
     and a random or centroid cold start when the first cell with its
-    (init, B, seed) starts: neither depends on anything else. The first
-    successful round-1 fit on such a cold start adds its head under the
-    cell's ``head_key``: one C x (d + 1) head per key.
+    (init, B, seed) starts: neither depends on anything else. It then fits
+    the round-1 head on that cold start and adds it, read-only, unless the
+    fit fails: one C x (d + 1) head per (init, B, seed, ``TrainConfig``,
+    semisupervised).
     """
 
     features: np.ndarray  # float64, every point
@@ -123,7 +125,7 @@ class GridInputs:
     pool_features: np.ndarray  # features[pool]
     graph: object = None  # kNN graph over pool_features
     cold_starts: dict = field(default_factory=dict)  # (init, B, seed) -> initial pool
-    heads: dict = field(default_factory=dict)  # head_key -> round-1 LinearClassifier
+    heads: dict = field(default_factory=dict)  # (init, B, seed, fit, semisup) -> round-1 head
 
 
 # one GridInputs per live dataset object; an entry goes with its dataset
@@ -163,6 +165,7 @@ class Cell:
     record: RunRecord
     iteration: int = 1
     done: bool = False
+    head: Optional[LinearClassifier] = None  # this round's head, if shared; set by ``start``
 
     def reveal(self, indices):
         self.labels[np.searchsorted(self.inputs.pool, indices)] = self.oracle.reveal(indices)
@@ -191,7 +194,12 @@ class Fit(NamedTuple):
 
 
 def start(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> Cell:
-    """Set up one cell on the dataset's shared ``grid_inputs`` and reveal its initial pool."""
+    """Set up one cell on the dataset's shared ``grid_inputs`` and reveal its initial pool.
+
+    From a random or centroid cold start the cell also takes the round-1
+    head shared under it, fit here on first use; a failed fit raises and is
+    not kept.
+    """
     inputs = grid_inputs(dataset)
     if config.semisupervised and inputs.graph is None:
         inputs.graph = build_knn_graph(inputs.pool_features)
@@ -224,39 +232,25 @@ def start(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> Cell:
             seed=derive_seed(seed, "init"),
             delta=delta,
         ).selected
-    else:
-        key = (config.init, b, seed)
-        if key not in inputs.cold_starts:
-            init_seed = derive_seed(seed, "init")
-            inputs.cold_starts[key] = _read_only(
-                random_init(inputs.pool, b, init_seed)
-                if config.init == "random"
-                else centroid_init(inputs.features, inputs.pool, b, init_seed)
-            )
-        initial = inputs.cold_starts[key]
-    cell.reveal(initial)
+        cell.reveal(initial)
+        return cell
+    key = (config.init, b, seed)
+    if key not in inputs.cold_starts:
+        init_seed = derive_seed(seed, "init")
+        inputs.cold_starts[key] = _read_only(
+            random_init(inputs.pool, b, init_seed)
+            if config.init == "random"
+            else centroid_init(inputs.features, inputs.pool, b, init_seed)
+        )
+    cell.reveal(inputs.cold_starts[key])
+    key += (astuple(config.train), config.semisupervised)
+    if key not in inputs.heads:
+        head = _fit(cell)
+        _read_only(head.weights)
+        _read_only(head.bias)
+        inputs.heads[key] = head
+    cell.head = inputs.heads[key]
     return cell
-
-
-def head_key(cell: Cell) -> Optional[tuple]:
-    """The key under which this round's head is shared in ``GridInputs.heads``, or None.
-
-    Only round 1 from a random or centroid cold start is shared: its inputs
-    are the cold start, the fit seed, the ``TrainConfig`` and, semisupervised,
-    one propagation over the fixed graph, none of which depends on the
-    strategy. An ``own`` cold start and every later round do.
-    """
-    config = cell.config
-    if cell.iteration != 1 or config.init == "own":
-        return None
-    return config.init, cell.b, cell.record.seed, astuple(config.train), config.semisupervised
-
-
-def _keep_head(cell: Cell, key: tuple, clf) -> None:
-    """Share ``clf`` as the head of ``key``, locked like the other shared inputs."""
-    _read_only(clf.weights)
-    _read_only(clf.bias)
-    cell.inputs.heads[key] = clf
 
 
 def training_inputs(cell: Cell) -> Fit:
@@ -271,6 +265,12 @@ def training_inputs(cell: Cell) -> Fit:
     return Fit(cell.inputs.features[labeled], labeled_y, seed, None)
 
 
+def _fit(cell: Cell) -> LinearClassifier:
+    """This round's head, fit alone by ``train``."""
+    x, y, seed, weights = training_inputs(cell)
+    return train(x, y, cell.dataset.num_classes, cell.config.train, seed, weights)
+
+
 def finish_round(cell: Cell, clf) -> None:
     """Evaluate this round's head, then query and reveal, or stop on an empty pool.
 
@@ -278,6 +278,7 @@ def finish_round(cell: Cell, clf) -> None:
     before that iteration's query. If the pool empties before T rounds the
     final row is flagged truncated and the cell is done.
     """
+    cell.head = None
     labeled, labeled_y, unlabeled = cell.split()
     acc = evaluate(clf, cell.dataset)
     t = cell.iteration
@@ -306,14 +307,7 @@ def run_al(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> RunRecord
     """Simulate one (strategy, seed) active-learning trajectory, one round at a time."""
     cell = start(dataset, config, seed)
     while not cell.done:
-        key = head_key(cell)
-        clf = cell.inputs.heads.get(key)
-        if clf is None:
-            x, y, fit_seed, weights = training_inputs(cell)
-            clf = train(x, y, dataset.num_classes, config.train, fit_seed, weights)
-            if key is not None:
-                _keep_head(cell, key, clf)
-        finish_round(cell, clf)
+        finish_round(cell, cell.head or _fit(cell))
     return cell.record
 
 
@@ -324,7 +318,9 @@ def run_bench(dataset: EmbeddingDataset, configs, seeds=DEFAULT_SEEDS) -> BenchR
     fits have the same row count and ``TrainConfig`` are fit together by
     ``train_batch``, in groups cut to ``FIT_BATCH_BYTES``; only one group's
     training inputs are held at a time. The cells share the dataset's
-    ``grid_inputs``, round-1 heads included, as ``run_al`` does. Each
+    ``grid_inputs`` as ``run_al`` does, so round 1 from a random or centroid
+    cold start is fit in ``start``, one seed at a time, and only the cells
+    without a head go to ``train_batch``. Each
     cell's rows equal those of ``run_al`` on it, and a failing cell is
     reported without aborting the rest. Records come back sorted by
     (strategy, seed), failures by (strategy_id, seed).
@@ -375,29 +371,15 @@ def _failure(sid: str, seed: int, exc: Exception) -> tuple:
 
 
 def _advance(cells, num_classes: int) -> list:
-    """One round of each cell, their heads fit by one ``train_batch``; each cell's error or None.
-
-    A cell whose ``head_key`` has a shared head takes it. Of the cells that
-    share a key without one, the first is fit and the rest take its result,
-    head or error; only a head is kept.
-    """
-    results = [None] * len(cells)  # each cell's head or error
-    source = list(range(len(cells)))  # the cell whose result each cell takes
-    firsts = {}  # head_key -> the cell fit for it
+    """One round of each cell, the headless ones fit by one ``train_batch``; each error or None."""
+    heads = [cell.head for cell in cells]  # each cell's head or error
     fits = []
     for i, cell in enumerate(cells):
-        key = head_key(cell)
-        if key in cell.inputs.heads:
-            results[i] = cell.inputs.heads[key]
-        elif key in firsts:
-            source[i] = firsts[key]
-        else:
-            if key is not None:
-                firsts[key] = i
+        if heads[i] is None:
             try:
                 fits.append((i, training_inputs(cell)))
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                results[i] = exc
+                heads[i] = exc
     if fits:
         try:
             clfs = train_batch(
@@ -411,13 +393,9 @@ def _advance(cells, num_classes: int) -> list:
         except Exception as exc:  # noqa: BLE001
             clfs = [exc] * len(fits)
         for (i, _), clf in zip(fits, clfs):
-            results[i] = clf
-    for key, i in firsts.items():
-        if not isinstance(results[i], Exception):
-            _keep_head(cells[i], key, results[i])
+            heads[i] = clf
     errors = [None] * len(cells)
-    for i, cell in enumerate(cells):
-        clf = results[source[i]]
+    for i, (cell, clf) in enumerate(zip(cells, heads)):
         try:
             if isinstance(clf, Exception):
                 raise clf

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import geometry
-from .geometry import knn
+from .geometry import _sq_norms, knn
 from .strategies import score_entropy
 
 PROPAGATION_MAX_ITERS = 10000
@@ -38,7 +38,7 @@ def build_knn_graph(features: np.ndarray, k: int = 500) -> sp.csr_matrix:
     k = min(k, n - 1)
     if k < 1:
         return sp.csr_matrix((n, n))
-    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    norms = np.sqrt(_sq_norms(X))
     unit = X / np.maximum(norms, 1e-12)[:, None]
 
     idx, _ = knn(X, k)

@@ -16,6 +16,7 @@ from .geometry import (
     _ball_graph,
     _kmeanspp_from_dist,
     _nearest_other_label_dist,
+    _sq_norms,
     _weighted_pick,
     greedy_k_center,
     kmeans,
@@ -247,8 +248,8 @@ def query_badge(
     b_eff = min(b, len(unlabeled))
     Z = np.asarray(features, dtype=np.float64)[unlabeled]
     P = _probs_minus_onehot(predict_proba(clf, Z))
-    z2 = np.einsum("ij,ij->i", Z, Z)
-    p2 = np.einsum("ij,ij->i", P, P)
+    z2 = _sq_norms(Z)
+    p2 = _sq_norms(P)
     g2 = z2 * p2  # ||z p^T||_F^2 per point
 
     def dist_to(j):
@@ -276,7 +277,7 @@ def _anchor_flips(
     for anchor in anchors:
         np.subtract(anchor, U, out=direction)
         np.multiply(grads, direction, out=mixed)  # h
-        norms = np.sqrt(np.einsum("ij,ij->i", mixed, mixed))
+        norms = np.sqrt(_sq_norms(mixed))
         mixed *= eps
         mixed /= np.maximum(norms, 1e-300)[:, None]
         mixed[~(norms > 0)] = 0.0  # alpha
@@ -331,9 +332,10 @@ def query_alfamix(
 
 
 def _typicality_all(features: np.ndarray, k: int) -> np.ndarray:
-    if features.shape[0] <= 1 or k < 1:
+    """Each point's inverse mean distance to its k nearest others, 1 <= k < n; 0 if alone."""
+    if features.shape[0] <= 1:
         return np.zeros(features.shape[0])
-    _, dist = knn(features, min(k, features.shape[0] - 1))
+    _, dist = knn(features, k)
     return 1.0 / (dist.mean(axis=1) + 1e-12)
 
 
@@ -405,7 +407,7 @@ def estimate_delta(
     right = rng.integers(0, n - 1, 2000)
     right = np.where(right >= left, right + 1, right)  # pair without i == j
     diff = X[left] - X[right]
-    sample = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    sample = np.sqrt(_sq_norms(diff))
     lo = max(float(np.percentile(sample, 1)), 1e-12)
     hi = max(float(np.percentile(sample, 99)), lo * (1 + 1e-9))
     grid = np.geomspace(lo, hi, 64)

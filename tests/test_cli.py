@@ -264,3 +264,18 @@ class TestStats:
         assert run_cli("stats", str(res), "--out", str(out)) == 1
         assert "strategy 'margins', seed 1, iteration 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "contents, message",
+        [(None, "error: results file not found: {}\n"),
+         ("a,b\n1,2\n", "error: {}: unexpected header ['a', 'b']\n")],
+        ids=["missing", "bad-header"],
+    )
+    def test_bad_results_file_rejected_before_writing(self, tmp_path, capsys, contents, message):
+        path = tmp_path / "records.csv"
+        if contents is not None:
+            path.write_text(contents)
+        out = tmp_path / "wm"
+        assert run_cli("stats", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == message.format(path)
+        assert not out.exists()

@@ -77,4 +77,5 @@ def test_records_digest(name, dataset_dir, tmp_path):
         "--seeds", "1,2", "--iterations", "4", "--epochs", "60", *extra,
     ])
     assert code == 0
-    assert hashlib.sha256((out / "records.csv").read_bytes()).hexdigest() == digest
+    got = hashlib.sha256((out / "records.csv").read_bytes()).hexdigest()
+    assert got == digest, f"{name}: records.csv sha256 is {got}"

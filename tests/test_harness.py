@@ -280,16 +280,17 @@ def count_batches(monkeypatch):
     return batches
 
 
-def full_grid_batches(monkeypatch, seeds):
-    """The cell count of each ``train_batch`` of a 12-kind, 4-round grid."""
+def full_grid_fits(monkeypatch, seeds):
+    """Each ``train_batch``'s cell count in a 12-kind, 4-round grid, and its ``train`` calls."""
     batches = count_batches(monkeypatch)
+    calls = count_calls(monkeypatch, "train")
     configs = [
         RunConfig(strategy=QuerySpec(kind), iterations=4, train=fast_train())
         for kind in STRATEGY_KINDS
     ]
     bench = run_bench(small_dataset(), configs, seeds=seeds)
     assert len(bench.records) == 12 * len(seeds) and not bench.failures
-    return batches
+    return batches, calls["train"]
 
 
 class TestLockstep:
@@ -326,11 +327,12 @@ class TestLockstep:
         assert alone.failures == batched.failures
 
     def test_each_round_of_a_full_grid_is_one_fit(self, monkeypatch):
-        # round 1's 12 cells share one cold start, so they share one head
-        assert full_grid_batches(monkeypatch, seeds=(1,)) == [1, 12, 12, 12]
+        # round 1's 12 cells share one cold start, so ``start`` fits their one head alone
+        assert full_grid_fits(monkeypatch, seeds=(1,)) == ([12, 12, 12], 1)
 
     def test_each_round_of_a_two_seed_grid_is_one_fit(self, monkeypatch):
-        assert full_grid_batches(monkeypatch, seeds=(1, 2)) == [2, 24, 24, 24]
+        # one round-1 head per seed, each fit alone
+        assert full_grid_fits(monkeypatch, seeds=(1, 2)) == ([24, 24, 24], 2)
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_rows_equal_run_al_on_a_fresh_dataset(self, name):
@@ -487,6 +489,17 @@ class TestRoundOneHeads:
             ("random", 4, 1), ("random", 3, 1), ("centroid", 4, 1), ("random", 4, 2)
         }
 
+    def test_start_hands_each_cell_its_round_one_head(self):
+        ds = small_dataset()
+        config = RunConfig(strategy=QuerySpec("random"), iterations=2, train=fast_train())
+        cell = harness.start(ds, config, seed=1)
+        (head,) = harness.grid_inputs(ds).heads.values()
+        assert cell.head is head
+        assert harness.start(ds, replace(config, strategy=QuerySpec("margins")), 1).head is head
+        harness.finish_round(cell, cell.head)
+        assert cell.head is None and not cell.done  # round 2 is the cell's own fit
+        assert harness.start(ds, replace(config, init="own"), seed=1).head is None
+
     def test_cached_heads_are_read_only(self):
         ds = small_dataset()
         run_bench(ds, [semisup_centroid("margins")], seeds=(1,))
@@ -515,6 +528,7 @@ class TestRoundOneHeads:
             assert calls == {"train": 3}
             batches = count_batches(monkeypatch)
             bench = run_bench(ds, configs, seeds=(1,))
-        assert batches == [1]  # the grid's three cells took one fit and its error
+        # each of the grid's three cells refit round 1 in ``start`` and failed there
+        assert batches == [] and calls == {"train": 6}
         assert not bench.records and bench.failures == sorted(solo)
         assert harness.grid_inputs(ds).heads == {}
