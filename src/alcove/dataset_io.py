@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 MANIFEST_NAME = "dataset.json"
+MANIFEST_KEYS = ("n", "d", "num_classes", "dtype", "features", "labels", "train_indices", "test_indices")
 
 
 @dataclass(eq=False)
@@ -85,11 +86,18 @@ def load_dataset(manifest_path) -> EmbeddingDataset:
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     with open(manifest_path) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: the manifest must be a JSON object")
+    for key in MANIFEST_KEYS:
+        if key not in manifest:
+            raise ValueError(f"{manifest_path}: the manifest has no {key!r} key")
+    for key in ("n", "d", "num_classes"):
+        if not _is_int(manifest[key]):
+            raise ValueError(f"{manifest_path}: {key!r} must be an integer, got {manifest[key]!r}")
 
-    n, d = int(manifest["n"]), int(manifest["d"])
-    num_classes = int(manifest["num_classes"])
-    if manifest.get("dtype") != "f32le":
-        raise ValueError(f"unsupported dtype {manifest.get('dtype')!r}, expected 'f32le'")
+    n, d, num_classes = manifest["n"], manifest["d"], manifest["num_classes"]
+    if manifest["dtype"] != "f32le":
+        raise ValueError(f"unsupported dtype {manifest['dtype']!r}, expected 'f32le'")
     base = manifest_path.parent
 
     feat_path = base / manifest["features"]
@@ -110,14 +118,25 @@ def load_dataset(manifest_path) -> EmbeddingDataset:
         raise ValueError(f"label file holds {len(label_bytes)} bytes, expected {n * 4}")
     labels = np.frombuffer(label_bytes, dtype="<u4").astype(np.int64)
 
-    with open(base / manifest["train_indices"]) as f:
-        train_indices = np.asarray(json.load(f), dtype=np.int64)
-    with open(base / manifest["test_indices"]) as f:
-        test_indices = np.asarray(json.load(f), dtype=np.int64)
-
+    train_indices, test_indices = (
+        _index_file(base / manifest[key], key) for key in ("train_indices", "test_indices")
+    )
     ds = EmbeddingDataset(features, labels, num_classes, train_indices, test_indices)
     ds.validate()
     return ds
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _index_file(path: Path, key: str) -> np.ndarray:
+    """The JSON array of integers in ``path``, the manifest's ``key`` file."""
+    with open(path) as f:
+        values = json.load(f)
+    if not isinstance(values, list) or not all(_is_int(v) for v in values):
+        raise ValueError(f"{path} ({key}): expected a JSON array of integers")
+    return np.asarray(values, dtype=np.int64)
 
 
 def save_dataset(dataset: EmbeddingDataset, out_dir, force: bool = False) -> Path:
@@ -172,8 +191,8 @@ def generate_synthetic(
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
-    if per_class < 2:
-        raise ValueError("per_class must be >= 2")
+    if per_class < 3:
+        raise ValueError("per_class must be >= 3, so that round(0.2 * per_class) >= 1 test point per class")
     if dim < 2:
         raise ValueError("dim must be >= 2")
     if dim < num_classes:

@@ -13,10 +13,11 @@ drives one cell; ``run_bench`` drives a grid's cells in lockstep and fits
 each round's heads together with ``train_batch``. Both read what no run
 changes (the float64 features, the sorted pool, the kNN graph, the cold
 starts and the heads fit on them) from ``grid_inputs``, built once per
-dataset object. A round-1 head depends on the cold start, the seed and the
-fit settings but not on the strategy, so ``start`` fits it (and,
-semisupervised, propagates once) next to the random or centroid cold start
-it is fit on, and hands it to every cell that shares them.
+dataset object; the pool's rows are gathered from the features where
+used. A round-1 head depends on the cold start, the seed and the fit
+settings but not on the strategy, so ``start`` fits it (and,
+semisupervised, propagates once) next to the random or centroid cold
+start it is fit on, and hands it to every cell that shares them.
 """
 
 import weakref
@@ -68,7 +69,6 @@ class IterationRow:
     labeled_count: int
     accuracy: float
     candidate_fraction: Optional[float] = None
-    truncated: bool = False
 
 
 @dataclass
@@ -120,10 +120,9 @@ class GridInputs:
     semisupervised).
     """
 
-    features: np.ndarray  # float64, every point
+    features: np.ndarray  # float64, every point; no copy of the pool's rows is kept
     pool: np.ndarray  # the train indices, sorted
-    pool_features: np.ndarray  # features[pool]
-    graph: object = None  # kNN graph over pool_features
+    graph: object = None  # kNN graph over features[pool]
     cold_starts: dict = field(default_factory=dict)  # (init, B, seed) -> initial pool
     heads: dict = field(default_factory=dict)  # (init, B, seed, fit, semisup) -> round-1 head
 
@@ -139,9 +138,7 @@ def grid_inputs(dataset: EmbeddingDataset) -> GridInputs:
         # copies, so that marking them read-only leaves the dataset's arrays be
         features = np.array(dataset.features, dtype=np.float64)
         pool = np.sort(dataset.train_indices)
-        inputs = _GRID_INPUTS[dataset] = GridInputs(
-            _read_only(features), _read_only(pool), _read_only(features[pool])
-        )
+        inputs = _GRID_INPUTS[dataset] = GridInputs(_read_only(features), _read_only(pool))
     return inputs
 
 
@@ -202,12 +199,12 @@ def start(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> Cell:
     """
     inputs = grid_inputs(dataset)
     if config.semisupervised and inputs.graph is None:
-        inputs.graph = build_knn_graph(inputs.pool_features)
+        inputs.graph = build_knn_graph(inputs.features[inputs.pool])
     b = config.budget or dataset.num_classes
     delta = None
     if config.strategy.kind == "probcover":
         delta = estimate_delta(
-            inputs.pool_features, dataset.num_classes, seed=derive_seed(seed, "probcover/delta")
+            inputs.features[inputs.pool], dataset.num_classes, seed=derive_seed(seed, "probcover/delta")
         )
     cell = Cell(
         dataset,
@@ -221,18 +218,7 @@ def start(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> Cell:
     )
     if config.init == "own":
         clf = zero_classifier(dataset.num_classes, dataset.dim, config.train.dropout_rho)
-        initial = query(
-            config.strategy,
-            inputs.features,
-            clf,
-            labeled=np.empty(0, dtype=np.int64),
-            labeled_labels=np.empty(0, dtype=np.int64),
-            unlabeled=inputs.pool,
-            b=b,
-            seed=derive_seed(seed, "init"),
-            delta=delta,
-        ).selected
-        cell.reveal(initial)
+        _query(cell, clf, derive_seed(seed, "init"))
         return cell
     key = (config.init, b, seed)
     if key not in inputs.cold_starts:
@@ -260,7 +246,7 @@ def training_inputs(cell: Cell) -> Fit:
         onehot = cell.labels[:, None] == np.arange(cell.dataset.num_classes)
         prop = label_propagate(cell.inputs.graph, onehot.astype(np.float64))
         pseudo = np.argmax(prop.pseudo_probs, axis=1)
-        return Fit(cell.inputs.pool_features, pseudo, seed, prop.weights)
+        return Fit(cell.inputs.features[cell.inputs.pool], pseudo, seed, prop.weights)
     labeled, labeled_y, _ = cell.split()
     return Fit(cell.inputs.features[labeled], labeled_y, seed, None)
 
@@ -271,21 +257,9 @@ def _fit(cell: Cell) -> LinearClassifier:
     return train(x, y, cell.dataset.num_classes, cell.config.train, seed, weights)
 
 
-def finish_round(cell: Cell, clf) -> None:
-    """Evaluate this round's head, then query and reveal, or stop on an empty pool.
-
-    Row t reports the model trained on |initial| + (t-1)*B labels, evaluated
-    before that iteration's query. If the pool empties before T rounds the
-    final row is flagged truncated and the cell is done.
-    """
-    cell.head = None
+def _query(cell: Cell, clf, seed: int):
+    """Query the cell's strategy on its current split and reveal the picks."""
     labeled, labeled_y, unlabeled = cell.split()
-    acc = evaluate(clf, cell.dataset)
-    t = cell.iteration
-    if len(unlabeled) == 0:
-        cell.record.rows.append(IterationRow(t, len(labeled), acc, truncated=True))
-        cell.done = True
-        return
     res = query(
         cell.config.strategy,
         cell.inputs.features,
@@ -294,11 +268,31 @@ def finish_round(cell: Cell, clf) -> None:
         labeled_labels=labeled_y,
         unlabeled=unlabeled,
         b=cell.b,
-        seed=derive_seed(cell.record.seed, f"query/{t}"),
+        seed=seed,
         delta=cell.delta,
     )
     cell.reveal(res.selected)
-    cell.record.rows.append(IterationRow(t, len(labeled), acc, res.candidate_fraction))
+    return res
+
+
+def finish_round(cell: Cell, clf) -> None:
+    """Evaluate this round's head, then query and reveal, or stop on an empty pool.
+
+    Row t reports the model trained on |initial| + (t-1)*B labels, evaluated
+    before that iteration's query. If the pool empties before T rounds the
+    cell is done after a plain row, so a truncated run has fewer rows than
+    ``iterations``.
+    """
+    cell.head = None
+    t = cell.iteration
+    labeled = int(np.count_nonzero(cell.labels >= 0))
+    acc = evaluate(clf, cell.dataset)
+    if labeled == len(cell.labels):
+        cell.record.rows.append(IterationRow(t, labeled, acc))
+        cell.done = True
+        return
+    res = _query(cell, clf, derive_seed(cell.record.seed, f"query/{t}"))
+    cell.record.rows.append(IterationRow(t, labeled, acc, res.candidate_fraction))
     cell.iteration += 1
     cell.done = cell.iteration > cell.config.iterations
 

@@ -76,7 +76,7 @@ class QuerySpec:
         """Record identifier; diversification variants get their own id."""
         sid = self.kind
         if self.diversify and _STRATEGIES[self.kind] is _ranked:
-            sid += "_divdrop" if self.inference_dropout else "_div"
+            sid += "_divdrop" if self.inference_dropout and self.kind in _PROB_SCORERS else "_div"
         if self.kind == "dropquery" and self.dq_literal:
             sid += "_literal"
         return sid
@@ -421,12 +421,14 @@ def estimate_delta(
     return float(grid[passing[-1]] if passing.size else grid[0])
 
 
-def query_probcover(features: np.ndarray, labeled, unlabeled, b: int, delta: float) -> np.ndarray:
+def query_probcover(features: np.ndarray, labeled, unlabeled, b: int, delta: Optional[float]) -> np.ndarray:
     """Greedy max-coverage over the delta-ball graph, seeded by labeled coverage.
 
     Each ball's count of uncovered points is kept up to date: when a pick
     covers new points, every ball that holds one of them loses one.
     """
+    if delta is None:
+        raise ValueError("probcover needs delta: pass estimate_delta(...) of the train rows being labeled")
     if not delta >= 0:
         raise ValueError(f"probcover delta must be a non-negative number, got {delta}")
     pool, is_labeled = _train_pool(labeled, unlabeled)
@@ -519,17 +521,21 @@ class _Round(NamedTuple):
     delta: Optional[float]
 
 
+# kind -> scorer of its (n, C) class probabilities; only these kinds read
+# inference dropout, since bald and powerbald score their own MC_SAMPLES passes
+_PROB_SCORERS = {"uncertainty": score_uncertainty, "entropy": score_entropy, "margins": score_margin}
+
+
 def _scores(spec: QuerySpec, r: _Round) -> np.ndarray:
     """Acquisition scores of the unlabeled points, higher = query first."""
     U = r.features[r.unlabeled]
-    if spec.kind in ("bald", "powerbald"):
+    if spec.kind not in _PROB_SCORERS:
         return score_bald(mc_dropout_passes(r.clf, U, MC_SAMPLES, derive_seed(r.seed, "mc")))
     if spec.inference_dropout:
         probs = mc_dropout_proba(r.clf, U, 1, derive_seed(r.seed, "inference-dropout"))[0]
     else:
         probs = predict_proba(r.clf, U)
-    scorer = {"uncertainty": score_uncertainty, "entropy": score_entropy, "margins": score_margin}
-    return scorer[spec.kind](probs)
+    return _PROB_SCORERS[spec.kind](probs)
 
 
 def _ranked(spec: QuerySpec, r: _Round) -> np.ndarray:
@@ -538,14 +544,6 @@ def _ranked(spec: QuerySpec, r: _Round) -> np.ndarray:
     if spec.diversify:
         return diversify(scores, r.features, r.unlabeled, r.b, seed=derive_seed(r.seed, "diversify"))
     return select_topb(scores, r.unlabeled, r.b)
-
-
-def _probcover(spec: QuerySpec, r: _Round) -> np.ndarray:
-    if r.delta is None:
-        raise ValueError(
-            "probcover needs delta: pass estimate_delta(...) of the train rows being labeled"
-        )
-    return query_probcover(r.features, r.labeled, r.unlabeled, r.b, r.delta)
 
 
 # kind -> fn(spec, round) returning the selected indices or a QueryResult
@@ -568,7 +566,7 @@ _STRATEGIES = {
     "typiclust": lambda spec, r: query_typiclust(
         r.features, r.labeled, r.unlabeled, r.b, TYPICLUST_MAX_CLUSTERS, TYPICLUST_KNN, r.seed
     ),
-    "probcover": _probcover,
+    "probcover": lambda spec, r: query_probcover(r.features, r.labeled, r.unlabeled, r.b, r.delta),
     "dropquery": lambda spec, r: dropquery(
         r.features, r.clf, r.unlabeled, r.b, spec.dq_m, r.seed, spec.dq_literal
     ),

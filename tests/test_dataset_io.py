@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from alcove.cli import main
 from alcove.dataset_io import EmbeddingDataset, generate_synthetic, load_dataset, save_dataset
 
 
@@ -48,6 +49,27 @@ def test_non_finite_features_rejected(tmp_path):
     (tmp_path / "ds" / "features.bin").write_bytes(bad.tobytes())
     with pytest.raises(ValueError, match="finite"):
         load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "file, edit, match",
+    [
+        ("dataset.json", lambda manifest: [], "dataset.json: the manifest must be a JSON object"),
+        ("dataset.json", lambda manifest: {k: v for k, v in manifest.items() if k != "features"},
+         "dataset.json: the manifest has no 'features' key"),
+        ("train.json", lambda indices: {"a": 1}, r"train.json \(train_indices\): expected a JSON array"),
+        ("train.json", lambda indices: [0.5, 1], r"train.json \(train_indices\): expected a JSON array"),
+    ],
+    ids=["manifest-list", "manifest-no-features", "indices-object", "indices-float"],
+)
+def test_malformed_json_rejected_with_file_and_key(tmp_path, capsys, file, edit, match):
+    save_dataset(tiny_dataset(), tmp_path / "ds")
+    path = tmp_path / "ds" / file
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=match):
+        load_dataset(tmp_path / "ds")
+    assert main(["bench", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -120,5 +142,7 @@ def test_synthetic_validates_preconditions():
         generate_synthetic(1, 10, 4, 1.0, seed=0)
     with pytest.raises(ValueError):
         generate_synthetic(3, 1, 4, 1.0, seed=0)
+    with pytest.raises(ValueError, match="test point"):
+        generate_synthetic(3, 2, 4, 1.0, seed=0)  # round(0.2 * 2) = 0 test points
     with pytest.raises(ValueError):
         generate_synthetic(8, 10, 4, 1.0, seed=0)  # dim < num_classes

@@ -30,7 +30,7 @@ GRIDS = {
     ),
     "diversify-dropout": (
         ["--strategies", SCORED, "--diversify", "--inference-dropout"],
-        "ca4f22e7bc2cffec501b9e76787f5597601dae5af48deb20ea00083059ac30f1",
+        "46fef5dfcc0332bdb9faa00773daccf8e8a7ae9967abf924feef4a288af74e90",
     ),
     "dq-literal": (
         ["--strategies", "dropquery", "--dq-literal"],

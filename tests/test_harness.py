@@ -73,8 +73,7 @@ class TestRunAl:
         cfg = RunConfig(strategy=QuerySpec("random"), iterations=10, budget=2, train=fast_train())
         rec = run_al(ds, cfg, seed=1)
         assert len(rec.rows) == 4
-        assert rec.rows[-1].truncated
-        assert not rec.rows[0].truncated
+        assert rec.rows[-1].labeled_count == 8
         assert rec.oracle_accesses == 8
 
     def test_margins_improves_on_separable_blobs(self):
@@ -312,7 +311,7 @@ class TestLockstep:
         assert [(r.strategy, r.seed) for r in bench.records] == sorted(expected)
         assert bench.failures == sorted(failures)
         if name == "truncation":
-            assert all(r.rows[-1].truncated and len(r.rows) == 3 for r in bench.records)
+            assert all(len(r.rows) == 3 and r.rows[-1].labeled_count == 8 for r in bench.records)
         if name == "own-init":
             assert [f[:2] for f in bench.failures] == [("alfamix", 1), ("alfamix", 2)]
 
@@ -418,8 +417,7 @@ class TestGridInputs:
         ds = small_dataset()
         run_al(ds, RunConfig(strategy=QuerySpec("random"), iterations=1, train=fast_train()), seed=1)
         inputs = harness.grid_inputs(ds)
-        for array in (inputs.features, inputs.pool, inputs.pool_features,
-                      *inputs.cold_starts.values()):
+        for array in (inputs.features, inputs.pool, *inputs.cold_starts.values()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 

@@ -826,6 +826,8 @@ def test_inference_dropout_needs_diversify():
     with pytest.raises(ValueError, match="inference_dropout"):
         QuerySpec("margins", inference_dropout=True)
     assert QuerySpec("margins", diversify=True, inference_dropout=True).strategy_id() == "margins_divdrop"
+    # bald scores its own MC passes, so inference dropout changes nothing and gets no id
+    assert QuerySpec("bald", diversify=True, inference_dropout=True).strategy_id() == "bald_div"
 
 
 def test_unknown_kind_rejected():
@@ -845,6 +847,8 @@ def test_probcover_without_delta_names_estimate_delta():
     clf = random_clf(rng, 2, 2)
     with pytest.raises(ValueError, match="estimate_delta"):
         query(QuerySpec(kind="probcover"), feats, clf, [0], [0], np.arange(1, 12), 3, seed=0)
+    with pytest.raises(ValueError, match="estimate_delta"):
+        query_probcover(feats, [0], np.arange(1, 12), 3, None)
 
 
 def query_peak_bytes(kind, n, d, c):
