@@ -84,8 +84,7 @@ def load_dataset(manifest_path) -> EmbeddingDataset:
         manifest_path = manifest_path / MANIFEST_NAME
     if not manifest_path.exists():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    manifest = _read_json(manifest_path, str(manifest_path))
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: the manifest must be a JSON object")
     for key in MANIFEST_KEYS:
@@ -130,10 +129,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _read_json(path: Path, where: str):
+    """The JSON value in ``path``; a file that does not parse raises a ValueError naming ``where``."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: not valid JSON: {exc}") from exc
+
+
 def _index_file(path: Path, key: str) -> np.ndarray:
     """The JSON array of integers in ``path``, the manifest's ``key`` file."""
-    with open(path) as f:
-        values = json.load(f)
+    values = _read_json(path, f"{path} ({key})")
     if not isinstance(values, list) or not all(_is_int(v) for v in values):
         raise ValueError(f"{path} ({key}): expected a JSON array of integers")
     return np.asarray(values, dtype=np.int64)

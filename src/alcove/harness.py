@@ -17,7 +17,9 @@ dataset object; the pool's rows are gathered from the features where
 used. A round-1 head depends on the cold start, the seed and the fit
 settings but not on the strategy, so ``start`` fits it (and,
 semisupervised, propagates once) next to the random or centroid cold
-start it is fit on, and hands it to every cell that shares them.
+start it is fit on, and hands it to every cell that shares them. A cell's
+strategy state comes from ``strategies.prepare`` once, in ``start``, and
+goes to each of its queries; the harness never looks at a strategy's kind.
 """
 
 import weakref
@@ -32,7 +34,7 @@ from .dataset_io import EmbeddingDataset
 from .initpool import centroid_init, random_init
 from .rng import derive_seed
 from .semisup import build_knn_graph, label_propagate
-from .strategies import QuerySpec, estimate_delta, query
+from .strategies import QuerySpec, prepare, query
 
 DEFAULT_SEEDS = (1, 10, 100, 1000, 10000)
 INIT_MODES = ("random", "centroid", "own")
@@ -158,7 +160,7 @@ class Cell:
     b: int
     oracle: LabelOracle
     labels: np.ndarray  # the label of each pool point, -1 while unlabeled
-    delta: Optional[float]
+    state: object  # the strategy's per-cell state from ``prepare``, or None
     record: RunRecord
     iteration: int = 1
     done: bool = False
@@ -193,19 +195,15 @@ class Fit(NamedTuple):
 def start(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> Cell:
     """Set up one cell on the dataset's shared ``grid_inputs`` and reveal its initial pool.
 
-    From a random or centroid cold start the cell also takes the round-1
-    head shared under it, fit here on first use; a failed fit raises and is
-    not kept.
+    The strategy's per-cell state is prepared here, before any query, so an
+    ``own`` init query reads it too. From a random or centroid cold start
+    the cell also takes the round-1 head shared under it, fit here on first
+    use; a failed fit raises and is not kept.
     """
     inputs = grid_inputs(dataset)
     if config.semisupervised and inputs.graph is None:
         inputs.graph = build_knn_graph(inputs.features[inputs.pool])
     b = config.budget or dataset.num_classes
-    delta = None
-    if config.strategy.kind == "probcover":
-        delta = estimate_delta(
-            inputs.features[inputs.pool], dataset.num_classes, seed=derive_seed(seed, "probcover/delta")
-        )
     cell = Cell(
         dataset,
         config,
@@ -213,7 +211,7 @@ def start(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> Cell:
         b,
         LabelOracle(dataset.labels, inputs.pool),
         np.full(len(inputs.pool), -1, dtype=np.int64),
-        delta,
+        prepare(config.strategy, inputs.features, inputs.pool, dataset.num_classes, seed),
         RunRecord(strategy=config.strategy.strategy_id(), seed=seed),
     )
     if config.init == "own":
@@ -269,7 +267,7 @@ def _query(cell: Cell, clf, seed: int):
         unlabeled=unlabeled,
         b=cell.b,
         seed=seed,
-        delta=cell.delta,
+        state=cell.state,
     )
     cell.reveal(res.selected)
     return res

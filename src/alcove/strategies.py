@@ -1,6 +1,10 @@
 """Acquisition functions: each one maps (features, classifier, pool, budget)
 to exactly min(B, |unlabeled|) distinct unlabeled indices.
 
+``query`` runs a kind from the ``_STRATEGIES`` table. A kind listed in
+``_PREPARE`` builds what depends only on the train pool once per cell, in
+``prepare``: probcover's delta-ball graph, so each round runs only the cover.
+
 All strategies are pure functions of their arguments plus a seed; repeated
 invocation is bit-identical. Ties always break toward the smaller dataset
 index. Probability work happens in float64.
@@ -421,37 +425,66 @@ def estimate_delta(
     return float(grid[passing[-1]] if passing.size else grid[0])
 
 
-def query_probcover(features: np.ndarray, labeled, unlabeled, b: int, delta: Optional[float]) -> np.ndarray:
-    """Greedy max-coverage over the delta-ball graph, seeded by labeled coverage.
+class ProbCoverState(NamedTuple):
+    """A probcover cell's delta-ball graph over its sorted train pool, from ``prepare``."""
+
+    pool: np.ndarray  # the sorted train pool; graph rows and columns are its positions
+    delta: float
+    balls: object  # CSR: row i holds the positions within delta of pool[i]
+    holders: object  # CSR transpose of balls: row j holds the balls that hold position j
+
+
+def _ball_state(points: np.ndarray, pool: np.ndarray, delta: float) -> ProbCoverState:
+    """The delta-ball graph and its transpose over ``points``, the rows of ``pool``."""
+    if not delta >= 0:
+        raise ValueError(f"probcover delta must be a non-negative number, got {delta}")
+    balls = _ball_graph(points, delta)
+    return ProbCoverState(pool, delta, balls, balls.T.tocsr())
+
+
+def _greedy_cover(state: ProbCoverState, is_labeled: np.ndarray, b: int) -> np.ndarray:
+    """Greedy max-coverage over the state's balls, seeded by labeled coverage.
 
     Each ball's count of uncovered points is kept up to date: when a pick
     covers new points, every ball that holds one of them loses one.
     """
-    if delta is None:
-        raise ValueError("probcover needs delta: pass estimate_delta(...) of the train rows being labeled")
-    if not delta >= 0:
-        raise ValueError(f"probcover delta must be a non-negative number, got {delta}")
-    pool, is_labeled = _train_pool(labeled, unlabeled)
-    balls = _ball_graph(np.asarray(features, dtype=np.float64)[pool], delta)
-    holders = balls.T.tocsr()  # row j: the balls that hold point j
+    balls, holders = state.balls, state.holders
     gain = np.diff(balls.indptr).astype(np.int64)
-    covered = np.zeros(len(pool), dtype=bool)
+    covered = np.zeros(len(state.pool), dtype=bool)
 
     def cover(centers):
         new = np.unique(balls[centers].indices)
         new = new[~covered[new]]
         covered[new] = True
-        gain[:] -= np.bincount(holders[new].indices, minlength=len(pool))
+        gain[:] -= np.bincount(holders[new].indices, minlength=len(state.pool))
 
     cover(np.flatnonzero(is_labeled))
     cand = ~is_labeled
     picks = []
-    for _ in range(min(b, len(unlabeled))):
+    for _ in range(b):
         pick = int(np.argmax(np.where(cand, gain, -1)))
-        picks.append(int(pool[pick]))
+        picks.append(pick)
         cover([pick])
         cand[pick] = False
-    return np.asarray(picks, dtype=np.int64)
+    return state.pool[np.asarray(picks, dtype=np.int64)]
+
+
+def query_probcover(features: np.ndarray, labeled, unlabeled, b: int, delta: Optional[float]) -> np.ndarray:
+    """Greedy max-coverage over the delta-ball graph of the train pool, built here."""
+    if delta is None:
+        raise ValueError("probcover needs delta: pass estimate_delta(...) of the train rows being labeled")
+    pool, is_labeled = _train_pool(labeled, unlabeled)
+    state = _ball_state(np.asarray(features, dtype=np.float64)[pool], pool, delta)
+    return _greedy_cover(state, is_labeled, min(b, len(unlabeled)))
+
+
+def _prepare_probcover(
+    features: np.ndarray, pool: np.ndarray, num_classes: int, seed: int
+) -> ProbCoverState:
+    """Estimate delta on the pool's rows and build its ball graph, gathering the rows once."""
+    points = np.asarray(np.asarray(features)[pool], dtype=np.float64)
+    delta = estimate_delta(points, num_classes, seed=derive_seed(seed, "probcover/delta"))
+    return _ball_state(points, pool, delta)
 
 
 def dropquery(
@@ -518,7 +551,7 @@ class _Round(NamedTuple):
     unlabeled: np.ndarray
     b: int
     seed: int
-    delta: Optional[float]
+    state: object  # the cell's ``prepare`` result
 
 
 # kind -> scorer of its (n, C) class probabilities; only these kinds read
@@ -536,6 +569,19 @@ def _scores(spec: QuerySpec, r: _Round) -> np.ndarray:
     else:
         probs = predict_proba(r.clf, U)
     return _PROB_SCORERS[spec.kind](probs)
+
+
+def _probcover(spec: QuerySpec, r: _Round) -> np.ndarray:
+    """The greedy cover on the cell's prepared graph, which must span this round's pool."""
+    if r.state is None:
+        raise ValueError(
+            "probcover needs state=prepare(spec, features, pool, num_classes, seed), "
+            "which runs estimate_delta over the train rows being labeled"
+        )
+    pool, is_labeled = _train_pool(r.labeled, r.unlabeled)
+    if not np.array_equal(pool, r.state.pool):
+        raise ValueError("probcover state was prepared over another train pool than labeled | unlabeled")
+    return _greedy_cover(r.state, is_labeled, r.b)
 
 
 def _ranked(spec: QuerySpec, r: _Round) -> np.ndarray:
@@ -566,13 +612,30 @@ _STRATEGIES = {
     "typiclust": lambda spec, r: query_typiclust(
         r.features, r.labeled, r.unlabeled, r.b, TYPICLUST_MAX_CLUSTERS, TYPICLUST_KNN, r.seed
     ),
-    "probcover": lambda spec, r: query_probcover(r.features, r.labeled, r.unlabeled, r.b, r.delta),
+    "probcover": _probcover,
     "dropquery": lambda spec, r: dropquery(
         r.features, r.clf, r.unlabeled, r.b, spec.dq_m, r.seed, spec.dq_literal
     ),
 }
 
 STRATEGY_KINDS = tuple(_STRATEGIES)
+
+# kind -> fn(features, pool, num_classes, seed) building the per-cell state its
+# table entry reads; the kinds not listed need none
+_PREPARE = {"probcover": _prepare_probcover}
+
+
+def prepare(spec: QuerySpec, features: np.ndarray, pool, num_classes: int, seed: int):
+    """The state ``query`` reads for ``spec``'s kind over the train ``pool``
+    (labeled and unlabeled together) in every round of a cell, or None.
+
+    Only probcover has one: its delta-ball graph, at the delta that
+    ``estimate_delta`` picks on the pool's rows.
+    """
+    setup = _PREPARE.get(spec.kind)
+    if setup is None:
+        return None
+    return setup(features, np.sort(np.asarray(pool, dtype=np.int64)), num_classes, seed)
 
 
 def query(
@@ -584,18 +647,19 @@ def query(
     unlabeled,
     b: int,
     seed: int,
-    delta: Optional[float] = None,
+    state=None,
 ) -> QueryResult:
     """Run one acquisition round for the given spec. Returns min(B, |unlabeled|) indices.
 
-    probcover needs ``delta``, from estimate_delta over the train rows.
+    ``state`` is ``prepare``'s result over the train pool labeled | unlabeled;
+    probcover needs it.
     """
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     b_eff = min(b, len(unlabeled))
     if b_eff == 0:
         return QueryResult(np.empty(0, dtype=np.int64))
     r = _Round(
-        np.asarray(features, dtype=np.float64), clf, labeled, labeled_labels, unlabeled, b_eff, seed, delta
+        np.asarray(features, dtype=np.float64), clf, labeled, labeled_labels, unlabeled, b_eff, seed, state
     )
     out = _STRATEGIES[spec.kind](spec, r)
     return out if isinstance(out, QueryResult) else QueryResult(out)

@@ -72,6 +72,22 @@ def test_malformed_json_rejected_with_file_and_key(tmp_path, capsys, file, edit,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "file, match",
+    [("dataset.json", "dataset.json: not valid JSON"), ("train.json", r"train.json \(train_indices\): not valid JSON")],
+    ids=["manifest", "indices"],
+)
+def test_unparseable_json_named_with_file_and_key(tmp_path, capsys, file, match):
+    save_dataset(tiny_dataset(), tmp_path / "ds")
+    path = tmp_path / "ds" / file
+    path.write_text("[1, 2,")
+    with pytest.raises(ValueError, match=match):
+        load_dataset(tmp_path / "ds")
+    assert main(["bench", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_round_trip_bit_exact(tmp_path):
     ds = generate_synthetic(3, 10, 4, 2.5, seed=11)
     manifest = save_dataset(ds, tmp_path / "ds")

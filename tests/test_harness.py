@@ -1,12 +1,14 @@
+import ast
 import gc
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alcove.classifier import TrainConfig, TrainingDiverged, train_batch
 from alcove.dataset_io import EmbeddingDataset, generate_synthetic
-from alcove import harness
+from alcove import harness, strategies
 from alcove.harness import LabelOracle, RunConfig, run_al, run_bench
 from alcove.semisup import label_propagate
 from alcove.strategies import STRATEGY_KINDS, QuerySpec, StrategyUnavailable
@@ -367,8 +369,8 @@ class TestLockstep:
         assert calls == {"graph": 1, "centroid": 2}
 
 
-def count_calls(monkeypatch, *names):
-    """Wrap each named harness function to count its calls; returns the counts."""
+def count_calls(monkeypatch, *names, module=harness):
+    """Wrap each named function of ``module`` to count its calls; returns the counts."""
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -378,7 +380,7 @@ def count_calls(monkeypatch, *names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
 
 
@@ -430,6 +432,50 @@ class TestGridInputs:
         del ds
         gc.collect()
         assert len(harness._GRID_INPUTS) == before
+
+
+class TestPreparedState:
+    """A cell prepares its strategy's state once, in ``start``, and every query reads it."""
+
+    def test_probcover_run_al_builds_one_graph(self, monkeypatch):
+        calls = count_calls(monkeypatch, "estimate_delta", "_ball_graph", module=strategies)
+        ds = generate_synthetic(num_classes=4, per_class=40, dim=8, separation=4.0, seed=3)
+        cfg = RunConfig(strategy=QuerySpec("probcover"), iterations=20, train=fast_train())
+        assert len(run_al(ds, cfg, seed=1).rows) == 20
+        assert calls == {"estimate_delta": 1, "_ball_graph": 1}
+
+    def test_probcover_run_bench_builds_one_graph_per_cell(self, monkeypatch):
+        calls = count_calls(monkeypatch, "estimate_delta", "_ball_graph", module=strategies)
+        configs = [RunConfig(strategy=QuerySpec(kind), iterations=3, train=fast_train())
+                   for kind in ("probcover", "margins")]
+        bench = run_bench(small_dataset(), configs, seeds=(1, 2))
+        assert not bench.failures and len(bench.records) == 4
+        assert calls == {"estimate_delta": 2, "_ball_graph": 2}
+
+    def test_own_init_query_reads_the_state_from_start(self, monkeypatch):
+        states = []
+        query = harness.query
+
+        def recording(*args, state=None, **kwargs):
+            states.append(state)
+            return query(*args, state=state, **kwargs)
+
+        monkeypatch.setattr(harness, "query", recording)
+        calls = count_calls(monkeypatch, "_ball_graph", module=strategies)
+        cfg = RunConfig(strategy=QuerySpec("probcover"), iterations=1, init="own", train=fast_train())
+        cell = harness.start(small_dataset(), cfg, seed=1)
+        assert len(states) == 1 and states[0] is cell.state is not None
+        assert calls == {"_ball_graph": 1}
+        assert np.count_nonzero(cell.labels >= 0) == 4
+
+    def test_harness_reads_no_strategy_kind(self):
+        # a per-kind step belongs in the strategies module's tables; string
+        # literals are not matched, since "random" is an init mode and a kind
+        tree = ast.parse(Path(harness.__file__).read_text())
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "kind"]
+        assert lines == [], f"harness.py reads .kind on lines {lines}"
+        assert not hasattr(harness, "estimate_delta")
 
 
 def diverging_train():

@@ -16,12 +16,14 @@ from alcove.classifier import (
 )
 from alcove import strategies
 from alcove.geometry import kmeans, kmeanspp_seed, nearest_to_centroids
+from alcove.rng import derive_seed
 from alcove.strategies import (
     QuerySpec,
     StrategyUnavailable,
     diversify,
     dropquery,
     estimate_delta,
+    prepare,
     query,
     query_alfamix,
     query_badge,
@@ -800,10 +802,10 @@ def test_every_strategy_is_budget_exact_and_deterministic(kind):
     labeled_labels = np.array([0, 1, 2])
     unlabeled = np.array([i for i in range(40) if i not in labeled.tolist()])
     spec = QuerySpec(kind=kind)
-    delta = estimate_delta(feats, 3)
+    state = prepare(spec, feats, np.arange(40), 3, seed=5)
     for b in (4, len(unlabeled), len(unlabeled) + 10):
-        res = query(spec, feats, clf, labeled, labeled_labels, unlabeled, b, seed=5, delta=delta)
-        again = query(spec, feats, clf, labeled, labeled_labels, unlabeled, b, seed=5, delta=delta)
+        res = query(spec, feats, clf, labeled, labeled_labels, unlabeled, b, seed=5, state=state)
+        again = query(spec, feats, clf, labeled, labeled_labels, unlabeled, b, seed=5, state=state)
         assert res.selected.tolist() == again.selected.tolist()
         assert len(res.selected) == min(b, len(unlabeled))
         assert len(set(res.selected.tolist())) == len(res.selected)
@@ -849,6 +851,41 @@ def test_probcover_without_delta_names_estimate_delta():
         query(QuerySpec(kind="probcover"), feats, clf, [0], [0], np.arange(1, 12), 3, seed=0)
     with pytest.raises(ValueError, match="estimate_delta"):
         query_probcover(feats, [0], np.arange(1, 12), 3, None)
+
+
+def test_prepare_builds_state_only_for_probcover():
+    feats = np.random.default_rng(29).normal(size=(30, 3))
+    states = {kind: prepare(QuerySpec(kind), feats, np.arange(30)[::-1], 3, seed=4) for kind in ALL_KINDS}
+    assert [kind for kind, state in states.items() if state is not None] == ["probcover"]
+    state = states["probcover"]
+    assert state.pool.tolist() == list(range(30))  # sorted, like the pool a query splits
+    assert state.delta == estimate_delta(feats, 3, seed=derive_seed(4, "probcover/delta"))
+    assert (state.holders != state.balls.T).nnz == 0
+
+
+def test_prepared_probcover_query_equals_standalone():
+    rng = np.random.default_rng(30)
+    feats = rng.normal(size=(60, 4))
+    clf = random_clf(rng, 3, 4)
+    spec = QuerySpec("probcover")
+    state = prepare(spec, feats, np.arange(60), 3, seed=2)
+    labeled = np.array([0, 1, 2])
+    for b in (1, 5, 57, 80):
+        unlabeled = np.setdiff1d(np.arange(60), labeled)
+        got = query(spec, feats, clf, labeled, labeled % 3, unlabeled, b, seed=2, state=state)
+        want = query_probcover(feats, labeled, unlabeled, b, state.delta)
+        assert got.selected.tolist() == want.tolist()
+        labeled = np.union1d(labeled, got.selected[:1])
+
+
+@pytest.mark.parametrize("pool", [np.arange(30), np.arange(1, 41)], ids=["shorter", "shifted"])
+def test_probcover_state_over_another_pool_rejected(pool):
+    rng = np.random.default_rng(31)
+    feats = rng.normal(size=(41, 3))
+    clf = random_clf(rng, 3, 3)
+    state = prepare(QuerySpec("probcover"), feats, pool, 3, seed=0)
+    with pytest.raises(ValueError, match="another train pool"):
+        query(QuerySpec("probcover"), feats, clf, [0], [0], np.arange(1, 40), 3, seed=0, state=state)
 
 
 def query_peak_bytes(kind, n, d, c):
