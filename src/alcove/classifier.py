@@ -131,20 +131,29 @@ def train_batch(
     others keep training, until every cell has failed; every cell's result
     is bit-identical to its solo fit.
 
-    Cell k draws its masks from its own default_rng(seeds[k]) into a shared
-    float32 buffer, ``MASK_BLOCK_BYTES`` worth of epochs at a time; one draw
-    of E epochs gives the same masks as E draws of one. The hot loop works on
-    a parameter matrix per cell with the bias folded in as a constant-1
-    column; the math matches the reference loss and gradient
-    ``cross_entropy_loss_and_grad`` in ``tests/oracles.py``.
+    Cells with one seed share one mask stream. Each distinct seed's
+    default_rng draws into a shared float32 buffer, ``MASK_BLOCK_BYTES``
+    worth of epochs at a time, for as long as any of its cells is alive,
+    and each draw is compared against rho once for all of its cells; one
+    draw of E epochs gives the same masks as E draws of one. ``seeds`` and
+    a given ``sample_weights`` hold one entry per cell, else ``ValueError``
+    before any training. The hot loop works on a parameter matrix per cell
+    with the bias folded in as a constant-1 column; the math matches the
+    reference loss and gradient ``cross_entropy_loss_and_grad`` in
+    ``tests/oracles.py``.
     """
     X = np.asarray(features, dtype=np.float64)
     Y = np.asarray(labels, dtype=np.int64)
     k_cells, n, d = X.shape
+    if sample_weights is None:
+        sample_weights = [None] * k_cells
+    for name, given in (("seeds", seeds), ("sample_weights", sample_weights)):
+        if len(given) != k_cells:
+            raise ValueError(f"{name} must hold one entry per cell: {k_cells}, got {len(given)}")
     rho = config.dropout_rho
     results = [None] * k_cells
     wn = np.zeros((k_cells, n))
-    for k, w in enumerate([None] * k_cells if sample_weights is None else sample_weights):
+    for k, w in enumerate(sample_weights):
         try:
             wn[k] = _normalized_weights(w, n)
         except ValueError as exc:
@@ -152,7 +161,13 @@ def train_batch(
     alive = np.array([r is None for r in results])
     if not alive.any():
         return results
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # stream[k]: the index of cell k's seed among the distinct seeds, in first-seen order
+    first = {}
+    stream = np.array([first.setdefault(seed, len(first)) for seed in seeds])
+    rngs = [np.random.default_rng(seed) for seed in first]
+    # one stream's (n, d) mask broadcasts over every cell, one stream per cell is
+    # a view, and only a mix is gathered cell by cell
+    at = 0 if len(rngs) == 1 else slice(None) if len(rngs) == k_cells else stream
     tiny = np.finfo(np.float64).tiny
 
     X_scaled = X / (1.0 - rho)
@@ -161,18 +176,19 @@ def train_batch(
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     lr, wd = config.learning_rate, config.weight_decay
-    block = min(config.epochs, max(1, MASK_BLOCK_BYTES // max(1, 4 * k_cells * n * d)))
-    buf = np.empty((k_cells, block, n, d), dtype=np.float32)
+    block = min(config.epochs, max(1, MASK_BLOCK_BYTES // max(1, 4 * len(rngs) * n * d)))
+    buf = np.empty((len(rngs), block, n, d), dtype=np.float32)
+    keep = np.empty(buf.shape, dtype=bool)
     # flat position of each row's label in the (K, n, C) probability stack
     hit = np.arange(k_cells * n).reshape(k_cells, n) * num_classes + Y
 
     for epoch in range(1, config.epochs + 1):
         e = (epoch - 1) % block
         if e == 0:
-            for k in np.flatnonzero(alive):
-                rngs[k].random(dtype=np.float32, out=buf[k, : min(block, config.epochs - epoch + 1)])
-            keep = buf >= rho
-        np.multiply(X_scaled, keep[:, e], out=aug[:, :, :d])
+            for s in np.unique(stream[alive]):
+                rngs[s].random(dtype=np.float32, out=buf[s, : min(block, config.epochs - epoch + 1)])
+            np.greater_equal(buf, rho, out=keep)
+        np.multiply(X_scaled, keep[at, e], out=aug[:, :, :d])
         probs = _softmax(aug @ params.transpose(0, 2, 1))
         flat = probs.reshape(-1)
         loss = -np.einsum("kn,kn->k", wn, np.log(np.maximum(flat[hit], tiny)))

@@ -124,6 +124,87 @@ def test_train_batch_isolates_bad_sample_weights():
         assert batch[k].weights.tobytes() == ref_w.tobytes()
 
 
+def _assert_equals_solo_fits(batch, X, Y, num_classes, config, seeds, weights, cells):
+    for k in cells:
+        ref_w, ref_b = adamw_fit(X[k], Y[k], num_classes, config, seeds[k], weights[k])
+        solo = train(X[k], Y[k], num_classes, config, seeds[k], weights[k])
+        for clf in (batch[k], solo):
+            assert clf.weights.tobytes() == ref_w.tobytes()
+            assert clf.bias.tobytes() == ref_b.tobytes()
+
+
+@pytest.mark.parametrize("block_bytes", [classifier.MASK_BLOCK_BYTES, 1, 4 * 3 * 25 * 7 * 3])
+def test_train_batch_with_repeated_seeds_equals_solo_fits_bitwise(monkeypatch, block_bytes):
+    # three streams over six cells, each cell with its own rows, labels and weights
+    monkeypatch.setattr(classifier, "MASK_BLOCK_BYTES", block_bytes)
+    X, Y, (a, b, c, *_), weights = _cells(np.random.default_rng(8), 6, 25, 7, 4)
+    seeds = [a, b, a, a, c, b]
+    config = TrainConfig(epochs=50)
+    batch = train_batch(X, Y, 4, config, seeds, weights)
+    _assert_equals_solo_fits(batch, X, Y, 4, config, seeds, weights, range(6))
+
+
+@pytest.mark.parametrize("failure", ["bad_weights", "diverges"])
+def test_failed_first_cell_of_a_seed_does_not_stop_its_twins(monkeypatch, failure):
+    # one-epoch blocks: the shared stream must be drawn again every epoch after the failure
+    monkeypatch.setattr(classifier, "MASK_BLOCK_BYTES", 1)
+    X, Y, (a, b, *_), _ = _cells(np.random.default_rng(9), 4, 10, 3, 2)
+    X = X.astype(np.float64)
+    seeds = [a, b, a, a]
+    weights = [None] * 4
+    if failure == "bad_weights":
+        weights[0] = -np.ones(10)
+    else:
+        X[0, 0, 0] = 1e308  # inf once scaled by 1 / (1 - rho): diverges at epoch 1
+    config = TrainConfig(epochs=20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = train_batch(X, Y, 2, config, seeds, weights)
+    expected = ValueError if failure == "bad_weights" else TrainingDiverged
+    assert [type(r) for r in batch] == [expected] + [LinearClassifier] * 3
+    _assert_equals_solo_fits(batch, X, Y, 2, config, seeds, weights, (1, 2, 3))
+
+
+@pytest.mark.parametrize("block_bytes, draws", [(classifier.MASK_BLOCK_BYTES, 1), (1, 50)])
+def test_cells_of_one_seed_draw_each_mask_block_once(monkeypatch, block_bytes, draws):
+    monkeypatch.setattr(classifier, "MASK_BLOCK_BYTES", block_bytes)
+    X, Y, _, weights = _cells(np.random.default_rng(10), 12, 15, 4, 3)
+    default_rng = np.random.default_rng
+    made, calls = [], []
+
+    class CountingRng:
+        def __init__(self, seed):
+            made.append(seed)
+            self.rng = default_rng(seed)
+
+        def random(self, *args, **kwargs):
+            calls.append(kwargs["out"].shape)
+            return self.rng.random(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    config = TrainConfig(epochs=50)
+    batch = train_batch(X, Y, 3, config, [7] * 12, weights)
+    assert made == [7]
+    assert len(calls) == draws
+    assert sum(shape[0] for shape in calls) == config.epochs
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    _assert_equals_solo_fits(batch, X, Y, 3, config, [7] * 12, weights, range(12))
+
+
+@pytest.mark.parametrize(
+    "seeds, weights",
+    [
+        ([1, 2], [None]),  # a short weight list
+        ([1, 2], [None, None, None]),  # an extra weight vector
+        ([1], None),  # a short seed list
+        ([1, 2, 3], None),  # an extra seed
+    ],
+)
+def test_train_batch_needs_one_seed_and_weight_vector_per_cell(seeds, weights):
+    X, Y, _, _ = _cells(np.random.default_rng(11), 2, 20, 4, 3)
+    with pytest.raises(ValueError, match="one entry per cell: 2, got"):
+        train_batch(X, Y, 3, TrainConfig(epochs=50), seeds, weights)
+
+
 def test_train_batch_with_only_bad_sample_weights_fails_every_cell():
     X, Y, seeds, _ = _cells(np.random.default_rng(5), 3, 8, 2, 2)
     bad = [-np.ones(8), np.full(8, np.nan), np.ones(7)]
