@@ -126,25 +126,27 @@ def train_batch(
     ``seeds`` K seeds and ``sample_weights`` (None: all equal) K weight
     vectors, each of which may be None. Returns one entry per cell: its
     ``LinearClassifier``, or the error a solo ``train`` of that cell raises
-    (a ``ValueError`` for bad weights, ``TrainingDiverged`` at the same
-    epoch). Cells do not interact: a failed cell stays in the stack and the
-    others keep training, until every cell has failed; every cell's result
-    is bit-identical to its solo fit.
+    (a ``ValueError`` for bad weights or a label outside [0, num_classes),
+    ``TrainingDiverged`` at the same epoch). Cells do not interact: a failed
+    cell stays in the stack and the others keep training, until every cell
+    has failed; every cell's result is bit-identical to its solo fit.
 
     Cells with one seed share one mask stream. Each distinct seed's
     default_rng draws into a shared float32 buffer, ``MASK_BLOCK_BYTES``
     worth of epochs at a time, for as long as any of its cells is alive,
     and each draw is compared against rho once for all of its cells; one
-    draw of E epochs gives the same masks as E draws of one. ``seeds`` and
-    a given ``sample_weights`` hold one entry per cell, else ``ValueError``
-    before any training. The hot loop works on a parameter matrix per cell
-    with the bias folded in as a constant-1 column; the math matches the
-    reference loss and gradient ``cross_entropy_loss_and_grad`` in
-    ``tests/oracles.py``.
+    draw of E epochs gives the same masks as E draws of one. ``labels`` is
+    shaped (K, n), and ``seeds`` and a given ``sample_weights`` hold one
+    entry per cell, else ``ValueError`` before any training. The hot loop
+    works on a parameter matrix per cell with the bias folded in as a
+    constant-1 column; the math matches the reference loss and gradient
+    ``cross_entropy_loss_and_grad`` in ``tests/oracles.py``.
     """
     X = np.asarray(features, dtype=np.float64)
     Y = np.asarray(labels, dtype=np.int64)
     k_cells, n, d = X.shape
+    if Y.shape != (k_cells, n):
+        raise ValueError(f"labels must hold one row of {n} per cell: shape {(k_cells, n)}, got {Y.shape}")
     if sample_weights is None:
         sample_weights = [None] * k_cells
     for name, given in (("seeds", seeds), ("sample_weights", sample_weights)):
@@ -155,12 +157,17 @@ def train_batch(
     wn = np.zeros((k_cells, n))
     for k, w in enumerate(sample_weights):
         try:
+            outside = Y[k][(Y[k] < 0) | (Y[k] >= num_classes)]
+            if outside.size:
+                raise ValueError(f"labels must lie in [0, {num_classes}), got {outside[0]}")
             wn[k] = _normalized_weights(w, n)
         except ValueError as exc:
             results[k] = exc
     alive = np.array([r is None for r in results])
     if not alive.any():
         return results
+    # a failed cell's labels may lie out of range; its slot reads class 0 instead
+    Y = np.where(alive[:, None], Y, 0)
     # stream[k]: the index of cell k's seed among the distinct seeds, in first-seen order
     first = {}
     stream = np.array([first.setdefault(seed, len(first)) for seed in seeds])

@@ -463,3 +463,23 @@ def test_divergence_reports_epoch():
         # runaway decoupled weight decay spirals the parameters to overflow
         train(X, y, 2, TrainConfig(learning_rate=1.0, weight_decay=1e200, dropout_rho=0.0), seed=0)
     assert err.value.epoch >= 1
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+def test_label_outside_the_classes_fails_its_cell_and_spares_the_rest(bad):
+    X, Y, seeds, weights = _cells(np.random.default_rng(12), 4, 10, 3, 3)
+    Y[1, 0] = bad
+    config = TrainConfig(epochs=20)
+    batch = train_batch(X, Y, 3, config, seeds, weights)
+    assert [type(r) for r in batch] == [LinearClassifier, ValueError, LinearClassifier, LinearClassifier]
+    assert f"labels must lie in [0, 3), got {bad}" in str(batch[1])
+    _assert_equals_solo_fits(batch, X, Y, 3, config, seeds, weights, (0, 2, 3))
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+        train(X[1], Y[1], 3, config, seeds[1], weights[1])
+
+
+@pytest.mark.parametrize("shape", [(1, 10), (10,), (3, 9), (4, 10)])
+def test_train_batch_needs_one_label_row_per_cell(shape):
+    X, _, seeds, _ = _cells(np.random.default_rng(13), 3, 10, 3, 3)
+    with pytest.raises(ValueError, match=r"labels must hold one row of 10 per cell"):
+        train_batch(X, np.zeros(shape, dtype=np.int64), 3, TrainConfig(epochs=5), seeds)

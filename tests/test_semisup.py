@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from alcove.dataset_io import generate_synthetic
 from alcove.semisup import build_knn_graph, label_propagate
 from oracles import knn_graph_by_gather, label_propagate_closed_form
 
@@ -149,3 +151,56 @@ class TestLabelPropagate:
         res = label_propagate(s, y, alpha=0.9)
         assert np.allclose(res.pseudo_probs[2], 0.5)
         assert res.weights[2] == 0.0
+
+
+class CountingGraph(sp.csr_matrix):
+    """A CSR graph that counts its products with ``@``."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+def blob_graph_one_class_unseeded():
+    """400 points in 8 well-separated blobs, k = 50; classes 0-6 get two seeds, class 7 none.
+
+    Few edges join the blobs, so plain fixpoint iteration mixes slowly here.
+    """
+    data = generate_synthetic(8, 50, 16, 6.0, seed=5)
+    s = build_knn_graph(data.features, k=50)
+    y = np.zeros((400, 8))
+    for c in range(7):
+        y[np.flatnonzero(data.labels == c)[:2], c] = 1.0
+    return s, y
+
+
+class TestPropagationSolve:
+    @pytest.mark.parametrize("alpha", [0.9, 0.99])
+    def test_within_1e7_of_closed_form(self, alpha):
+        s, y = blob_graph_one_class_unseeded()
+        got = label_propagate(s, y, alpha=alpha)
+        ref = label_propagate_closed_form(s, y, alpha=alpha)
+        assert np.abs(got.pseudo_probs - ref.pseudo_probs).max() < 1e-7
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.99])
+    def test_at_most_40_products(self, alpha):
+        s, y = blob_graph_one_class_unseeded()
+        graph = CountingGraph(s)
+        label_propagate(graph, y, alpha=alpha)
+        assert 0 < graph.products <= 40
+
+    @pytest.mark.parametrize("where", ["graph", "labels"])
+    def test_nan_rejected_before_any_product(self, where):
+        rng = np.random.default_rng(6)
+        graph = CountingGraph(build_knn_graph(rng.normal(size=(60, 4)), k=8))
+        y = np.zeros((60, 3))
+        y[[0, 1, 2], [0, 1, 2]] = 1.0
+        if where == "graph":
+            graph.data[5] = np.nan
+        else:
+            y[10, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            label_propagate(graph, y, alpha=0.9)
+        assert graph.products == 0
