@@ -92,16 +92,12 @@ def train(
     matrix (kept entries scaled by 1/(1 - rho)), rho = ``config.dropout_rho``,
     which the classifier keeps. ``sample_weights`` (None: all equal) are
     normalized to sum to 1. Classes absent from ``labels`` simply receive no
-    positive gradient. Deterministic in seed.
-
-    This is ``train_batch`` over one cell; its error is raised.
+    positive gradient. Deterministic in seed. This is ``train_batch`` over
+    one cell: it fits or raises as that does.
     """
     X = np.asarray(features, dtype=np.float64)[None]
     y = np.asarray(labels, dtype=np.int64)[None]
-    (result,) = train_batch(X, y, num_classes, config, [seed], [sample_weights])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return train_batch(X, y, num_classes, config, [seed], [sample_weights])[0]
 
 
 def _normalized_weights(sample_weights, n: int) -> np.ndarray:
@@ -120,27 +116,27 @@ def train_batch(
     seeds,
     sample_weights=None,
 ) -> list:
-    """``train`` over K cells of one shape, fit side by side.
+    """``train`` over K cells of one shape, fit side by side; K ``LinearClassifier``s.
 
     ``features`` holds K (n, d) matrices, ``labels`` K label vectors,
     ``seeds`` K seeds and ``sample_weights`` (None: all equal) K weight
-    vectors, each of which may be None. Returns one entry per cell: its
-    ``LinearClassifier``, or the error a solo ``train`` of that cell raises
-    (a ``ValueError`` for bad weights or a label outside [0, num_classes),
-    ``TrainingDiverged`` at the same epoch). Cells do not interact: a failed
-    cell stays in the stack and the others keep training, until every cell
-    has failed; every cell's result is bit-identical to its solo fit.
+    vectors, each of which may be None. The whole batch is checked before
+    any training: ``labels`` must be shaped (K, n) with every label in
+    [0, num_classes), ``seeds`` and a given ``sample_weights`` must hold one
+    entry per cell, and each weight vector must be valid, else
+    ``ValueError``. ``TrainingDiverged`` is raised at the first epoch whose
+    loss is non-finite in any cell, or after the last if any parameter is.
+    Cells do not interact, so each head is bit-identical to its solo fit,
+    and a batch holding one bad cell raises what that cell's ``train`` does.
 
     Cells with one seed share one mask stream. Each distinct seed's
     default_rng draws into a shared float32 buffer, ``MASK_BLOCK_BYTES``
-    worth of epochs at a time, for as long as any of its cells is alive,
-    and each draw is compared against rho once for all of its cells; one
-    draw of E epochs gives the same masks as E draws of one. ``labels`` is
-    shaped (K, n), and ``seeds`` and a given ``sample_weights`` hold one
-    entry per cell, else ``ValueError`` before any training. The hot loop
-    works on a parameter matrix per cell with the bias folded in as a
-    constant-1 column; the math matches the reference loss and gradient
-    ``cross_entropy_loss_and_grad`` in ``tests/oracles.py``.
+    worth of epochs at a time, and each draw is compared against rho once
+    for all of its cells; one draw of E epochs gives the same masks as E
+    draws of one. The hot loop works on a parameter matrix per cell with
+    the bias folded in as a constant-1 column; the math matches the
+    reference loss and gradient ``cross_entropy_loss_and_grad`` in
+    ``tests/oracles.py``.
     """
     X = np.asarray(features, dtype=np.float64)
     Y = np.asarray(labels, dtype=np.int64)
@@ -152,22 +148,13 @@ def train_batch(
     for name, given in (("seeds", seeds), ("sample_weights", sample_weights)):
         if len(given) != k_cells:
             raise ValueError(f"{name} must hold one entry per cell: {k_cells}, got {len(given)}")
-    rho = config.dropout_rho
-    results = [None] * k_cells
+    outside = Y[(Y < 0) | (Y >= num_classes)]
+    if outside.size:
+        raise ValueError(f"labels must lie in [0, {num_classes}), got {outside[0]}")
     wn = np.zeros((k_cells, n))
     for k, w in enumerate(sample_weights):
-        try:
-            outside = Y[k][(Y[k] < 0) | (Y[k] >= num_classes)]
-            if outside.size:
-                raise ValueError(f"labels must lie in [0, {num_classes}), got {outside[0]}")
-            wn[k] = _normalized_weights(w, n)
-        except ValueError as exc:
-            results[k] = exc
-    alive = np.array([r is None for r in results])
-    if not alive.any():
-        return results
-    # a failed cell's labels may lie out of range; its slot reads class 0 instead
-    Y = np.where(alive[:, None], Y, 0)
+        wn[k] = _normalized_weights(w, n)
+    rho = config.dropout_rho
     # stream[k]: the index of cell k's seed among the distinct seeds, in first-seen order
     first = {}
     stream = np.array([first.setdefault(seed, len(first)) for seed in seeds])
@@ -192,21 +179,15 @@ def train_batch(
     for epoch in range(1, config.epochs + 1):
         e = (epoch - 1) % block
         if e == 0:
-            for s in np.unique(stream[alive]):
-                rngs[s].random(dtype=np.float32, out=buf[s, : min(block, config.epochs - epoch + 1)])
+            for rng, out in zip(rngs, buf):
+                rng.random(dtype=np.float32, out=out[: min(block, config.epochs - epoch + 1)])
             np.greater_equal(buf, rho, out=keep)
         np.multiply(X_scaled, keep[at, e], out=aug[:, :, :d])
         probs = _softmax(aug @ params.transpose(0, 2, 1))
         flat = probs.reshape(-1)
         loss = -np.einsum("kn,kn->k", wn, np.log(np.maximum(flat[hit], tiny)))
-        finite = np.isfinite(loss)
-        if not finite.all():
-            # a failed cell keeps its slot, which no other cell's arithmetic reads
-            for k in np.flatnonzero(alive & ~finite):
-                results[k] = TrainingDiverged(epoch)
-            alive &= finite
-            if not alive.any():
-                break
+        if not np.all(np.isfinite(loss)):
+            raise TrainingDiverged(epoch)
 
         flat[hit] -= 1.0
         probs *= wn[:, :, None]
@@ -220,13 +201,9 @@ def train_batch(
         )
         params -= lr * step + lr * wd * params
 
-    for k in np.flatnonzero(alive):
-        p = params[k]
-        if np.all(np.isfinite(p)):
-            results[k] = LinearClassifier(p[:, :d].copy(), p[:, d].copy(), rho)
-        else:
-            results[k] = TrainingDiverged(config.epochs)
-    return results
+    if not np.all(np.isfinite(params)):
+        raise TrainingDiverged(config.epochs)
+    return [LinearClassifier(p[:, :d].copy(), p[:, d].copy(), rho) for p in params]
 
 
 def predict_proba(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:

@@ -113,17 +113,20 @@ def _read_records(path: Path):
         if reader.fieldnames != RECORD_HEADER:
             raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
         for row in reader:
-            key = (row["strategy"], int(row["seed"]))
-            rec = by_cell.setdefault(key, RunRecord(strategy=key[0], seed=key[1]))
-            frac = row["candidate_fraction"]
-            rec.rows.append(
-                IterationRow(
+            try:
+                key = (row["strategy"], int(row["seed"]))
+                frac = row["candidate_fraction"]
+                parsed = IterationRow(
                     iteration=int(row["iteration"]),
                     labeled_count=int(row["labeled"]),
                     accuracy=float(row["accuracy"]),
                     candidate_fraction=None if frac == "" else float(frac),
                 )
-            )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            by_cell.setdefault(key, RunRecord(strategy=key[0], seed=key[1])).rows.append(parsed)
+    if not by_cell:
+        raise ValueError(f"{path}: no records below the header")
     records = list(by_cell.values())
     for rec in records:
         rec.rows.sort(key=lambda r: r.iteration)

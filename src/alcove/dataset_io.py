@@ -93,6 +93,9 @@ def load_dataset(manifest_path) -> EmbeddingDataset:
     for key in ("n", "d", "num_classes"):
         if not _is_int(manifest[key]):
             raise ValueError(f"{manifest_path}: {key!r} must be an integer, got {manifest[key]!r}")
+    for key in ("n", "d"):
+        if manifest[key] < 1:
+            raise ValueError(f"{manifest_path}: {key!r} must be at least 1, got {manifest[key]!r}")
 
     n, d, num_classes = manifest["n"], manifest["d"], manifest["num_classes"]
     if manifest["dtype"] != "f32le":

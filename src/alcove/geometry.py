@@ -289,25 +289,23 @@ def greedy_k_center(points: np.ndarray, existing_centers, b: int) -> np.ndarray:
     if b > m - existing.size:
         raise ValueError(f"cannot pick b={b} new centers from {m - existing.size} candidates")
 
-    blocked = np.zeros(m, dtype=bool)
-    blocked[existing] = True
     picks = []
     sq = _sq_norms(points)
-
+    # a center's own entry is -inf, so the argmax never takes it again
     if existing.size:
         min_d2 = _sq_dist(points, points[existing], sq, sq[existing]).min(axis=1)
-    else:
+        min_d2[existing] = -np.inf
+    elif b:
         mean = points.mean(axis=0, keepdims=True)
         d2_mean = _sq_dist(points, mean, sq, _sq_norms(mean))[:, 0]
         first = int(np.argmax(d2_mean))
         picks.append(first)
-        blocked[first] = True
         min_d2 = _dist_to_point(points, sq, first)
+        min_d2[first] = -np.inf
 
     while len(picks) < b:
-        scores = np.where(blocked, -np.inf, min_d2)
-        pick = int(np.argmax(scores))
+        pick = int(np.argmax(min_d2))
         picks.append(pick)
-        blocked[pick] = True
         min_d2 = np.minimum(min_d2, _dist_to_point(points, sq, pick))
+        min_d2[pick] = -np.inf
     return np.asarray(picks, dtype=np.int64)

@@ -10,11 +10,13 @@ A cell is one (strategy, seed) trajectory. ``start`` sets it up and each
 round is cut at its fit: ``training_inputs`` gives what to train on, and
 ``finish_round`` evaluates the fitted head, queries and reveals. ``run_al``
 drives one cell; ``run_bench`` drives a grid's cells in lockstep and fits
-each round's heads together with ``train_batch``. Both read what no run
-changes (the float64 features, the sorted pool, the kNN graph, the cold
-starts and the heads fit on them) from ``grid_inputs``, built once per
-dataset object; the pool's rows are gathered from the features where
-used. A round-1 head depends on the cold start, the seed and the fit
+each round's heads together with ``train_batch``, which fits or raises. A
+batch that raises falls back to ``run_al``'s step, one solo fit per cell, so
+only the harness isolates a failing cell: it reports its solo error and the
+others keep their bits. Both read what no run changes (the float64
+features, the sorted pool, the kNN graph, the cold starts and the heads fit
+on them) from ``grid_inputs``, built once per dataset object; the pool's
+rows are gathered from the features where used. A round-1 head depends on the cold start, the seed and the fit
 settings but not on the strategy, so ``start`` fits it (and,
 semisupervised, propagates once) next to the random or centroid cold
 start it is fit on, and hands it to every cell that shares them. A cell's
@@ -98,14 +100,17 @@ class LabelOracle:
         self.access_count = 0
 
     def reveal(self, indices) -> np.ndarray:
+        """The labels at ``indices``; the whole request is checked before any is revealed."""
         indices = np.asarray(indices, dtype=np.int64)
         state = self._state
+        seen = set()
         for i in indices.tolist():
             if not 0 <= i < len(state) or state[i] == 0:
                 raise KeyError(f"index {i} is not in the train pool")
-            if state[i] == 2:
+            if state[i] == 2 or i in seen:
                 raise RuntimeError(f"index {i} was already queried")
-            state[i] = 2
+            seen.add(i)
+        state[indices] = 2
         self.access_count += len(indices)
         return self._labels[indices]
 
@@ -164,7 +169,7 @@ class Cell:
     record: RunRecord
     iteration: int = 1
     done: bool = False
-    head: Optional[LinearClassifier] = None  # this round's head, if shared; set by ``start``
+    head: Optional[LinearClassifier] = None  # this round's head once fit, by ``start`` or a batch
 
     def reveal(self, indices):
         self.labels[np.searchsorted(self.inputs.pool, indices)] = self.oracle.reveal(indices)
@@ -312,9 +317,10 @@ def run_bench(dataset: EmbeddingDataset, configs, seeds=DEFAULT_SEEDS) -> BenchR
     training inputs are held at a time. The cells share the dataset's
     ``grid_inputs`` as ``run_al`` does, so round 1 from a random or centroid
     cold start is fit in ``start``, one seed at a time, and only the cells
-    without a head go to ``train_batch``. Each
-    cell's rows equal those of ``run_al`` on it, and a failing cell is
-    reported without aborting the rest. Records come back sorted by
+    without a head go to ``train_batch``. If a group's batch raises, each
+    of its cells fits alone, as in ``run_al``. Each cell's rows equal those
+    of ``run_al`` on it, and a failing cell is reported with its solo error
+    without aborting the rest. Records come back sorted by
     (strategy, seed), failures by (strategy_id, seed).
     """
     ids = [config.strategy.strategy_id() for config in configs]
@@ -344,12 +350,15 @@ def run_bench(dataset: EmbeddingDataset, configs, seeds=DEFAULT_SEEDS) -> BenchR
             size = max(1, FIT_BATCH_BYTES // max(1, cell_bytes))
             for i in range(0, len(group), size):
                 chunk = group[i : i + size]
-                for cell, exc in zip(chunk, _advance(chunk, dataset.num_classes)):
-                    record = cell.record
-                    if exc is not None:
-                        result.failures.append(_failure(record.strategy, record.seed, exc))
-                    elif cell.done:
-                        result.records.append(record)
+                _fit_together(chunk, dataset.num_classes)
+                for cell in chunk:
+                    try:
+                        finish_round(cell, cell.head or _fit(cell))
+                    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                        result.failures.append(_failure(cell.record.strategy, cell.record.seed, exc))
+                        continue
+                    if cell.done:
+                        result.records.append(cell.record)
                     else:
                         cells.append(cell)
 
@@ -362,36 +371,20 @@ def _failure(sid: str, seed: int, exc: Exception) -> tuple:
     return sid, seed, f"{type(exc).__name__}: {exc}"
 
 
-def _advance(cells, num_classes: int) -> list:
-    """One round of each cell, the headless ones fit by one ``train_batch``; each error or None."""
-    heads = [cell.head for cell in cells]  # each cell's head or error
-    fits = []
-    for i, cell in enumerate(cells):
-        if heads[i] is None:
-            try:
-                fits.append((i, training_inputs(cell)))
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                heads[i] = exc
-    if fits:
-        try:
-            clfs = train_batch(
-                [f.features for _, f in fits],
-                [f.labels for _, f in fits],
-                num_classes,
-                cells[0].config.train,
-                [f.seed for _, f in fits],
-                [f.weights for _, f in fits],
-            )
-        except Exception as exc:  # noqa: BLE001
-            clfs = [exc] * len(fits)
-        for (i, _), clf in zip(fits, clfs):
-            heads[i] = clf
-    errors = [None] * len(cells)
-    for i, (cell, clf) in enumerate(zip(cells, heads)):
-        try:
-            if isinstance(clf, Exception):
-                raise clf
-            finish_round(cell, clf)
-        except Exception as exc:  # noqa: BLE001
-            errors[i] = exc
-    return errors
+def _fit_together(cells, num_classes: int) -> None:
+    """Fit the heads of the cells without one by one ``train_batch``, and hand them out.
+
+    If a cell's training inputs or the batched fit raise, no cell gets a
+    head here: each then takes ``run_al``'s step, its own ``_fit``, so a
+    failing cell reports its solo error and the others keep their bits.
+    """
+    todo = [cell for cell in cells if cell.head is None]
+    if not todo:
+        return
+    try:
+        x, y, seeds, weights = zip(*map(training_inputs, todo))
+        heads = train_batch(x, y, num_classes, todo[0].config.train, seeds, weights)
+    except Exception:  # noqa: BLE001 - each cell refits alone and reports its own error
+        return
+    for cell, head in zip(todo, heads):
+        cell.head = head

@@ -102,7 +102,10 @@ def win_matrix(records_by_dataset: dict) -> WinMatrix:
             for j, sid_j in enumerate(strategies):
                 if i == j or not grouped[sid_i] or not grouped[sid_j]:
                     continue
-                mat[i, j] = win_fraction(grouped[sid_i], grouped[sid_j], iters)
+                try:
+                    mat[i, j] = win_fraction(grouped[sid_i], grouped[sid_j], iters)
+                except ValueError as exc:  # name the result set the records came from
+                    raise ValueError(f"dataset {name!r}: {exc}") from None
         per_dataset[name] = mat
         total += mat
     return WinMatrix(strategies=strategies, wins=total, per_dataset=per_dataset)

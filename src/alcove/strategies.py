@@ -1,9 +1,9 @@
 """Acquisition functions: each one maps (features, classifier, pool, budget)
 to exactly min(B, |unlabeled|) distinct unlabeled indices.
 
-``query`` runs a kind from the ``_STRATEGIES`` table. A kind listed in
-``_PREPARE`` builds what depends only on the train pool once per cell, in
-``prepare``: probcover's delta-ball graph, so each round runs only the cover.
+``query`` runs a kind from the ``_STRATEGIES`` table. ``prepare`` builds
+what depends only on the train pool once per cell: probcover's delta-ball
+graph, so each round runs only the cover.
 
 All strategies are pure functions of their arguments plus a seed; repeated
 invocation is bit-identical. Ties always break toward the smaller dataset
@@ -250,6 +250,8 @@ def query_badge(
     """
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     b_eff = min(b, len(unlabeled))
+    if b_eff == 0:
+        return np.empty(0, dtype=np.int64)
     Z = np.asarray(features, dtype=np.float64)[unlabeled]
     P = _probs_minus_onehot(predict_proba(clf, Z))
     z2 = _sq_norms(Z)
@@ -478,15 +480,6 @@ def query_probcover(features: np.ndarray, labeled, unlabeled, b: int, delta: Opt
     return _greedy_cover(state, is_labeled, min(b, len(unlabeled)))
 
 
-def _prepare_probcover(
-    features: np.ndarray, pool: np.ndarray, num_classes: int, seed: int
-) -> ProbCoverState:
-    """Estimate delta on the pool's rows and build its ball graph, gathering the rows once."""
-    points = np.asarray(np.asarray(features)[pool], dtype=np.float64)
-    delta = estimate_delta(points, num_classes, seed=derive_seed(seed, "probcover/delta"))
-    return _ball_state(points, pool, delta)
-
-
 def dropquery(
     features: np.ndarray,
     clf: LinearClassifier,
@@ -620,22 +613,20 @@ _STRATEGIES = {
 
 STRATEGY_KINDS = tuple(_STRATEGIES)
 
-# kind -> fn(features, pool, num_classes, seed) building the per-cell state its
-# table entry reads; the kinds not listed need none
-_PREPARE = {"probcover": _prepare_probcover}
-
 
 def prepare(spec: QuerySpec, features: np.ndarray, pool, num_classes: int, seed: int):
     """The state ``query`` reads for ``spec``'s kind over the train ``pool``
     (labeled and unlabeled together) in every round of a cell, or None.
 
     Only probcover has one: its delta-ball graph, at the delta that
-    ``estimate_delta`` picks on the pool's rows.
+    ``estimate_delta`` picks on the pool's rows, which are gathered once.
     """
-    setup = _PREPARE.get(spec.kind)
-    if setup is None:
+    if spec.kind != "probcover":
         return None
-    return setup(features, np.sort(np.asarray(pool, dtype=np.int64)), num_classes, seed)
+    pool = np.sort(np.asarray(pool, dtype=np.int64))
+    points = np.asarray(np.asarray(features)[pool], dtype=np.float64)
+    delta = estimate_delta(points, num_classes, seed=derive_seed(seed, "probcover/delta"))
+    return _ball_state(points, pool, delta)
 
 
 def query(

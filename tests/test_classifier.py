@@ -87,7 +87,18 @@ def test_train_batch_equals_solo_fits_bitwise(monkeypatch, k_cells, n, d, num_cl
             assert clf.bias.tobytes() == ref_b.tobytes()
 
 
-def test_diverging_cells_fail_at_their_solo_epoch_and_spare_the_rest():
+def _assert_raises_solo_error(bad, X, Y, num_classes, config, seeds, weights=None):
+    """``train_batch`` raises the type and message of cell ``bad``'s solo ``train``."""
+    weights = weights or [None] * len(X)
+    with pytest.raises(Exception) as solo:
+        train(X[bad], Y[bad], num_classes, config, seeds[bad], weights[bad])
+    with pytest.raises(type(solo.value)) as batch:
+        train_batch(X, Y, num_classes, config, seeds, weights)
+    assert type(batch.value) is type(solo.value) and str(batch.value) == str(solo.value)
+    return batch.value
+
+
+def test_a_diverging_cell_fails_the_batch_at_its_solo_epoch():
     # with lr * wd = 10 the decoupled decay multiplies the weights by -9 each
     # epoch, so the logits overflow after a number of epochs set by the feature
     # scale: cell 0 (unit scale) finishes, cell 1 (1e100) diverges late, and
@@ -97,31 +108,34 @@ def test_diverging_cells_fail_at_their_solo_epoch_and_spare_the_rest():
     X[1] *= 1e100
     X[2, 0, 0] = 1e308
     config = TrainConfig(learning_rate=1.0, weight_decay=10.0, epochs=300)
+    seeds = [1, 2, 3]
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = train_batch(X, Y, 3, config, [1, 2, 3])
         solo_epochs = []
         for k in (1, 2):
             with pytest.raises(TrainingDiverged) as err:
-                adamw_fit(X[k], Y[k], 3, config, k + 1)
+                adamw_fit(X[k], Y[k], 3, config, seeds[k])
             solo_epochs.append(err.value.epoch)
+            cells = [0, k]
+            batch_err = _assert_raises_solo_error(1, X[cells], Y[cells], 3, config, [1, seeds[k]])
+            assert batch_err.epoch == solo_epochs[-1]
+        # the batch stops at the earliest failing epoch of its cells
+        assert _assert_raises_solo_error(2, X, Y, 3, config, seeds).epoch == solo_epochs[1]
         ref_w, ref_b = adamw_fit(X[0], Y[0], 3, config, 1)
     assert 1 == solo_epochs[1] < solo_epochs[0] < config.epochs
-    assert [type(r) for r in batch] == [LinearClassifier, TrainingDiverged, TrainingDiverged]
-    assert [batch[1].epoch, batch[2].epoch] == solo_epochs
-    assert batch[0].weights.tobytes() == ref_w.tobytes()
-    assert batch[0].bias.tobytes() == ref_b.tobytes()
+    (head,) = train_batch(X[:1], Y[:1], 3, config, seeds[:1])
+    assert head.weights.tobytes() == ref_w.tobytes()
+    assert head.bias.tobytes() == ref_b.tobytes()
 
 
-def test_train_batch_isolates_bad_sample_weights():
+def test_bad_sample_weights_fail_the_batch_before_any_epoch():
     X, Y, seeds, _ = _cells(np.random.default_rng(4), 4, 10, 3, 2)
     X = X.astype(np.float64)
     X[2, 0, 0] = 1e308  # inf once scaled by 1 / (1 - rho): diverges at epoch 1
+    weights = [-np.ones(10), None, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = train_batch(X, Y, 2, TrainConfig(epochs=20), seeds, [-np.ones(10), None, None, None])
-    assert [type(r) for r in batch] == [ValueError, LinearClassifier, TrainingDiverged, LinearClassifier]
-    for k in (1, 3):
-        ref_w, _ = adamw_fit(X[k], Y[k], 2, TrainConfig(epochs=20), seeds[k])
-        assert batch[k].weights.tobytes() == ref_w.tobytes()
+        # checked before the loop, so cell 2 never gets to diverge
+        err = _assert_raises_solo_error(0, X, Y, 2, TrainConfig(epochs=20), seeds, weights)
+    assert "sample_weights must be 10 " in str(err)
 
 
 def _assert_equals_solo_fits(batch, X, Y, num_classes, config, seeds, weights, cells):
@@ -145,8 +159,8 @@ def test_train_batch_with_repeated_seeds_equals_solo_fits_bitwise(monkeypatch, b
 
 
 @pytest.mark.parametrize("failure", ["bad_weights", "diverges"])
-def test_failed_first_cell_of_a_seed_does_not_stop_its_twins(monkeypatch, failure):
-    # one-epoch blocks: the shared stream must be drawn again every epoch after the failure
+def test_a_failed_first_cell_of_a_seed_fails_the_batch_with_its_solo_error(monkeypatch, failure):
+    # one-epoch blocks: the shared stream is drawn again every epoch
     monkeypatch.setattr(classifier, "MASK_BLOCK_BYTES", 1)
     X, Y, (a, b, *_), _ = _cells(np.random.default_rng(9), 4, 10, 3, 2)
     X = X.astype(np.float64)
@@ -158,9 +172,10 @@ def test_failed_first_cell_of_a_seed_does_not_stop_its_twins(monkeypatch, failur
         X[0, 0, 0] = 1e308  # inf once scaled by 1 / (1 - rho): diverges at epoch 1
     config = TrainConfig(epochs=20)
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = train_batch(X, Y, 2, config, seeds, weights)
-    expected = ValueError if failure == "bad_weights" else TrainingDiverged
-    assert [type(r) for r in batch] == [expected] + [LinearClassifier] * 3
+        err = _assert_raises_solo_error(0, X, Y, 2, config, seeds, weights)
+    assert isinstance(err, ValueError if failure == "bad_weights" else TrainingDiverged)
+    # its twins, batched without it, still share the stream and keep their solo bits
+    batch = [None, *train_batch(X[1:], Y[1:], 2, config, seeds[1:], weights[1:])]
     _assert_equals_solo_fits(batch, X, Y, 2, config, seeds, weights, (1, 2, 3))
 
 
@@ -206,11 +221,12 @@ def test_train_batch_needs_one_seed_and_weight_vector_per_cell(seeds, weights):
 
 
 def test_train_batch_with_only_bad_sample_weights_fails_every_cell():
+    # the first bad cell's error is the batch's: no cell gets a head
     X, Y, seeds, _ = _cells(np.random.default_rng(5), 3, 8, 2, 2)
     bad = [-np.ones(8), np.full(8, np.nan), np.ones(7)]
-    batch = train_batch(X, Y, 2, TrainConfig(epochs=5), seeds, bad)
-    assert [type(r) for r in batch] == [ValueError] * 3
-    assert all("sample_weights must be 8 " in str(r) for r in batch)
+    for k in range(3):
+        err = _assert_raises_solo_error(0, X[k:], Y[k:], 2, TrainConfig(epochs=5), seeds[k:], bad[k:])
+        assert "sample_weights must be 8 " in str(err)
 
 
 class TestSampleWeights:
@@ -466,16 +482,11 @@ def test_divergence_reports_epoch():
 
 
 @pytest.mark.parametrize("bad", [3, -1])
-def test_label_outside_the_classes_fails_its_cell_and_spares_the_rest(bad):
+def test_label_outside_the_classes_fails_the_batch_with_its_solo_error(bad):
     X, Y, seeds, weights = _cells(np.random.default_rng(12), 4, 10, 3, 3)
     Y[1, 0] = bad
-    config = TrainConfig(epochs=20)
-    batch = train_batch(X, Y, 3, config, seeds, weights)
-    assert [type(r) for r in batch] == [LinearClassifier, ValueError, LinearClassifier, LinearClassifier]
-    assert f"labels must lie in [0, 3), got {bad}" in str(batch[1])
-    _assert_equals_solo_fits(batch, X, Y, 3, config, seeds, weights, (0, 2, 3))
-    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-        train(X[1], Y[1], 3, config, seeds[1], weights[1])
+    err = _assert_raises_solo_error(1, X, Y, 3, TrainConfig(epochs=20), seeds, weights)
+    assert f"labels must lie in [0, 3), got {bad}" in str(err)
 
 
 @pytest.mark.parametrize("shape", [(1, 10), (10,), (3, 9), (4, 10)])

@@ -265,6 +265,31 @@ class TestStats:
         assert "strategy 'margins', seed 1, iteration 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_few_seeds_name_the_result_set(self, dataset_dir, tmp_path, capsys):
+        res = self.make_results(dataset_dir, tmp_path, "res", seeds="1,2,3")
+        assert run_cli("stats", str(res), "--out", str(tmp_path / "wm")) == 1
+        assert capsys.readouterr().err == (
+            f"error: dataset {str(res)!r}: expected exactly 5 paired differences, got shape (3,)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [(None, "error: {}: no records below the header\n"),
+         ("margins,1,1,4,abc,", "error: {}, line 2: could not convert string to float: 'abc'\n"),
+         ("margins,one,1,4,0.5,", "error: {}, line 2: invalid literal for int() with base 10: 'one'\n"),
+         # the missing fields read as None; the wording of int(None)'s error varies by Python
+         ("margins,1,1", "error: {}, line 2: int() argument must be ")],
+        ids=["header-only", "bad-accuracy", "bad-seed", "short-row"],
+    )
+    def test_unreadable_records_name_the_file(self, tmp_path, capsys, row, message):
+        path = tmp_path / "records.csv"
+        path.write_text("strategy,seed,iteration,labeled,accuracy,candidate_fraction\n"
+                        + ("" if row is None else row + "\n"))
+        out = tmp_path / "wm"
+        assert run_cli("stats", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(message.format(path))
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "contents, message",
         [(None, "error: results file not found: {}\n"),

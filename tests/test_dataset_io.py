@@ -73,6 +73,28 @@ def test_malformed_json_rejected_with_file_and_key(tmp_path, capsys, file, edit,
 
 
 @pytest.mark.parametrize(
+    "sizes, feature_bytes, match",
+    [
+        # -4 x -2 x 4 bytes = 32: the byte count alone passes
+        ({"n": -4, "d": -2}, 32, "dataset.json: 'n' must be at least 1, got -4"),
+        ({"d": 0}, 0, "dataset.json: 'd' must be at least 1, got 0"),
+    ],
+    ids=["negative", "zero-width"],
+)
+def test_sizes_below_one_rejected_with_file_and_key(tmp_path, capsys, sizes, feature_bytes, match):
+    save_dataset(tiny_dataset(), tmp_path / "ds")
+    path = tmp_path / "ds" / "dataset.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **sizes}))
+    features = tmp_path / "ds" / "features.bin"
+    features.write_bytes(features.read_bytes()[:feature_bytes])
+    with pytest.raises(ValueError, match=match):
+        load_dataset(tmp_path / "ds")
+    assert main(["bench", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize(
     "file, match",
     [("dataset.json", "dataset.json: not valid JSON"), ("train.json", r"train.json \(train_indices\): not valid JSON")],
     ids=["manifest", "indices"],

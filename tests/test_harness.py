@@ -1,5 +1,6 @@
 import ast
 import gc
+from contextlib import suppress
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -35,6 +36,23 @@ class TestLabelOracle:
         oracle = LabelOracle(np.array([0, 1, 0, 1]), np.array([0, 1]))
         with pytest.raises(KeyError):
             oracle.reveal([3])
+
+    @pytest.mark.parametrize(
+        "request_, error, message",
+        [
+            ([5, 9], KeyError, "index 9 is not in the train pool"),
+            ([5, -1], KeyError, "index -1 is not in the train pool"),
+            ([5, 2], RuntimeError, "index 2 was already queried"),
+            ([5, 6, 5], RuntimeError, "index 5 was already queried"),
+        ],
+    )
+    def test_a_failed_request_reveals_nothing(self, request_, error, message):
+        oracle = LabelOracle(np.arange(10) % 3, np.arange(8))
+        oracle.reveal([2])
+        with pytest.raises(error, match=message):
+            oracle.reveal(request_)
+        assert oracle.access_count == 1
+        assert oracle.reveal([5, 6]).tolist() == [2, 0]
 
 
 class TestRunAl:
@@ -367,6 +385,76 @@ class TestLockstep:
         run_bench(small_dataset(), configs, seeds=(1, 2))
         # one graph for the grid, one cold start per seed
         assert calls == {"graph": 1, "centroid": 2}
+
+
+def out_of_range_dataset():
+    """small_dataset with every tenth train point labeled C: unvalidated, so a fit
+    that reveals one of them raises, and a cold start that holds one fails in ``start``."""
+    ds = small_dataset()
+    labels = ds.labels.copy()
+    labels[ds.train_indices[::10]] = ds.num_classes
+    return EmbeddingDataset(ds.features, labels, ds.num_classes, ds.train_indices, ds.test_indices)
+
+
+def raising_batches(monkeypatch, fail_every=False):
+    """Wrap ``harness.train_batch`` to list each call's error or None; returns the list.
+
+    With ``fail_every`` each call raises without fitting."""
+    outcomes = []
+
+    def wrapped(*args, **kwargs):
+        try:
+            if fail_every:
+                raise RuntimeError("no batched fit")
+            heads = train_batch(*args, **kwargs)
+        except Exception as exc:
+            outcomes.append(exc)
+            raise
+        outcomes.append(None)
+        return heads
+
+    monkeypatch.setattr(harness, "train_batch", wrapped)
+    return outcomes
+
+
+class TestFailedBatches:
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_records_equal_the_batched_run_when_every_batch_raises(self, monkeypatch, name):
+        make_dataset, configs = GRIDS[name]
+        batched = run_bench(make_dataset(), configs, (1, 2))
+        outcomes = raising_batches(monkeypatch, fail_every=True)
+        alone = run_bench(make_dataset(), configs, (1, 2))
+        # the empty pool stops every cell after round 1, which ``start`` fits
+        assert bool(outcomes) == (name != "empty-pool")
+        assert [(r.strategy, r.seed, rows_of(r)) for r in alone.records] == [
+            (r.strategy, r.seed, rows_of(r)) for r in batched.records
+        ]
+        assert alone.failures == batched.failures
+
+    def test_a_label_outside_the_classes_fails_its_cells_as_in_run_al(self, monkeypatch):
+        ds = out_of_range_dataset()
+        configs = [RunConfig(strategy=QuerySpec(k), iterations=3, train=fast_train())
+                   for k in ("random", "entropy", "margins", "coreset")]
+        seeds = (1, 2, 3)
+        outcomes = raising_batches(monkeypatch)
+        bench = run_bench(ds, configs, seeds)
+        expected, failures, late = {}, [], []
+        for config in configs:
+            sid = config.strategy.strategy_id()
+            for s in seeds:
+                try:
+                    expected[sid, s] = rows_of(run_al(ds, config, s))
+                except ValueError as exc:
+                    failures.append((sid, s, f"ValueError: {exc}"))
+                    with suppress(ValueError):  # a cold start holding label C fails in ``start``
+                        harness.start(ds, config, s)
+                        late.append((sid, s))
+        assert {(r.strategy, r.seed): rows_of(r) for r in bench.records} == expected
+        assert bench.failures == sorted(failures)
+        assert expected and late
+        assert all(msg == "ValueError: labels must lie in [0, 4), got 4" for *_, msg in failures)
+        # a batch held a failing cell next to healthy ones, and fell back to solo fits
+        assert any(isinstance(exc, ValueError) for exc in outcomes)
 
 
 def count_calls(monkeypatch, *names, module=harness):

@@ -812,6 +812,35 @@ def test_every_strategy_is_budget_exact_and_deterministic(kind):
         assert set(res.selected.tolist()) <= set(unlabeled.tolist())
 
 
+# name -> fn(features, clf, labeled, unlabeled, b) running that query outside ``query``;
+# labeled points 0, 1 and 2 carry labels 0, 1 and 2
+STANDALONE_QUERIES = {
+    "select_topb": lambda X, clf, lab, unl, b: select_topb(np.ones(len(unl)), unl, b),
+    "diversify": lambda X, clf, lab, unl, b: diversify(np.ones(len(unl)), X, unl, b, seed=1),
+    "powerbald": lambda X, clf, lab, unl, b: query_powerbald(
+        np.ones(len(unl)), unl, b, 1.0, np.random.default_rng(1)
+    ),
+    "coreset": lambda X, clf, lab, unl, b: query_coreset(X, lab, unl, b),
+    "coreset_unseeded": lambda X, clf, lab, unl, b: query_coreset(X, [], unl, b),
+    "badge": lambda X, clf, lab, unl, b: query_badge(X, clf, unl, b, np.random.default_rng(1)),
+    "alfamix": lambda X, clf, lab, unl, b: query_alfamix(X, clf, lab, lab, unl, b, 0.2, seed=1),
+    "typiclust": lambda X, clf, lab, unl, b: query_typiclust(X, lab, unl, b, 500, 20, seed=1),
+    "probcover": lambda X, clf, lab, unl, b: query_probcover(X, lab, unl, b, delta=1.0),
+    "dropquery": lambda X, clf, lab, unl, b: dropquery(X, clf, unl, b, seed=1).selected,
+}
+
+
+@pytest.mark.parametrize("pool", ["b=0", "empty"])
+@pytest.mark.parametrize("name", sorted(STANDALONE_QUERIES))
+def test_standalone_queries_pick_nothing_at_b_0_or_from_an_empty_pool(name, pool):
+    rng = np.random.default_rng(31)
+    feats = rng.normal(size=(10, 3))
+    clf = random_clf(rng, 3, 3)
+    unlabeled, b = (np.arange(3, 10), 0) if pool == "b=0" else (np.empty(0, dtype=np.int64), 4)
+    picks = STANDALONE_QUERIES[name](feats, clf, np.arange(3), unlabeled, b)
+    assert picks.dtype == np.int64 and picks.shape == (0,)
+
+
 def test_diversified_variants_also_budget_exact():
     rng = np.random.default_rng(27)
     feats = rng.normal(size=(40, 4))
