@@ -3,6 +3,9 @@
 Training is full-batch AdamW on (optionally sample-weighted) softmax
 cross-entropy with input-feature dropout. The pool sizes in the low-budget
 regime are tiny, so full-batch keeps every run deterministic and cheap.
+The training loop runs in float32, the default precision of the paper's
+PyTorch Lightning heads; the heads it returns, and every prediction,
+evaluation and dropout pass over them, are float64.
 """
 
 from dataclasses import dataclass
@@ -92,8 +95,9 @@ def train(
     matrix (kept entries scaled by 1/(1 - rho)), rho = ``config.dropout_rho``,
     which the classifier keeps. ``sample_weights`` (None: all equal) are
     normalized to sum to 1. Classes absent from ``labels`` simply receive no
-    positive gradient. Deterministic in seed. This is ``train_batch`` over
-    one cell: it fits or raises as that does.
+    positive gradient. The loop runs in float32 and the head is float64.
+    Deterministic in seed. This is ``train_batch`` over one cell: it fits or
+    raises as that does.
     """
     X = np.asarray(features, dtype=np.float64)[None]
     y = np.asarray(labels, dtype=np.int64)[None]
@@ -129,6 +133,13 @@ def train_batch(
     Cells do not interact, so each head is bit-identical to its solo fit,
     and a batch holding one bad cell raises what that cell's ``train`` does.
 
+    The epoch loop runs in float32: the features are scaled by 1/(1 - rho)
+    in float64 and rounded once, and the parameters, AdamW moments, logits,
+    probabilities, gradients and sample weights are float32. A feature
+    beyond float32's range therefore diverges at epoch 1. The loss check
+    runs in float64 on the label's probabilities, and the parameters are
+    cast to float64 once, at the end, so the returned heads are float64.
+
     Cells with one seed share one mask stream. Each distinct seed's
     default_rng draws into a shared float32 buffer, ``MASK_BLOCK_BYTES``
     worth of epochs at a time, and each draw is compared against rho once
@@ -136,7 +147,7 @@ def train_batch(
     draws of one. The hot loop works on a parameter matrix per cell with
     the bias folded in as a constant-1 column; the math matches the
     reference loss and gradient ``cross_entropy_loss_and_grad`` in
-    ``tests/oracles.py``.
+    ``tests/oracles.py``, and ``adamw_fit`` there runs the same loop.
     """
     X = np.asarray(features, dtype=np.float64)
     Y = np.asarray(labels, dtype=np.int64)
@@ -164,12 +175,18 @@ def train_batch(
     at = 0 if len(rngs) == 1 else slice(None) if len(rngs) == k_cells else stream
     tiny = np.finfo(np.float64).tiny
 
-    X_scaled = X / (1.0 - rho)
-    aug = np.ones((k_cells, n, d + 1))
-    params = np.zeros((k_cells, num_classes, d + 1))
+    # the loop runs in float32; every scalar enters as np.float32, so that no
+    # operand upcasts it, under value-based casting or NEP 50 alike
+    f32 = np.float32
+    X_scaled = (X / (1.0 - rho)).astype(f32)
+    wn32 = wn.astype(f32)
+    aug = np.ones((k_cells, n, d + 1), dtype=f32)
+    params = np.zeros((k_cells, num_classes, d + 1), dtype=f32)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
-    lr, wd = config.learning_rate, config.weight_decay
+    lr, lr_wd = f32(config.learning_rate), f32(config.learning_rate * config.weight_decay)
+    beta1, beta2, eps = f32(ADAM_BETA1), f32(ADAM_BETA2), f32(ADAM_EPS)
+    one_minus_beta1, one_minus_beta2 = f32(1.0 - ADAM_BETA1), f32(1.0 - ADAM_BETA2)
     block = min(config.epochs, max(1, MASK_BLOCK_BYTES // max(1, 4 * len(rngs) * n * d)))
     buf = np.empty((len(rngs), block, n, d), dtype=np.float32)
     keep = np.empty(buf.shape, dtype=bool)
@@ -185,22 +202,24 @@ def train_batch(
         np.multiply(X_scaled, keep[at, e], out=aug[:, :, :d])
         probs = _softmax(aug @ params.transpose(0, 2, 1))
         flat = probs.reshape(-1)
-        loss = -np.einsum("kn,kn->k", wn, np.log(np.maximum(flat[hit], tiny)))
+        hit_probs = flat[hit].astype(np.float64)
+        loss = -np.einsum("kn,kn->k", wn, np.log(np.maximum(hit_probs, tiny)))
         if not np.all(np.isfinite(loss)):
             raise TrainingDiverged(epoch)
 
-        flat[hit] -= 1.0
-        probs *= wn[:, :, None]
+        flat[hit] -= f32(1.0)
+        probs *= wn32[:, :, None]
         grad = probs.transpose(0, 2, 1) @ aug
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        step = (m / (1.0 - ADAM_BETA1**epoch)) / (
-            np.sqrt(v / (1.0 - ADAM_BETA2**epoch)) + ADAM_EPS
+        m *= beta1
+        m += one_minus_beta1 * grad
+        v *= beta2
+        v += one_minus_beta2 * grad * grad
+        step = (m / f32(1.0 - ADAM_BETA1**epoch)) / (
+            np.sqrt(v / f32(1.0 - ADAM_BETA2**epoch)) + eps
         )
-        params -= lr * step + lr * wd * params
+        params -= lr * step + lr_wd * params
 
+    params = params.astype(np.float64)
     if not np.all(np.isfinite(params)):
         raise TrainingDiverged(config.epochs)
     return [LinearClassifier(p[:, :d].copy(), p[:, d].copy(), rho) for p in params]

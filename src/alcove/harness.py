@@ -63,7 +63,9 @@ class RunConfig:
 
 
 # the most bytes one batched fit of a grid round may hold; a cell's share is
-# taken as 32 bytes (four float64 copies) per value of its n x (d + 1 + C) inputs
+# taken as 32 bytes (four float64 copies) per value of its n x (d + 1 + C)
+# inputs. The fit's loop holds float32 copies, so this overestimates a cell;
+# the estimate is deliberately left as it is, so that batch grouping does not move.
 FIT_BATCH_BYTES = 16 << 20
 
 

@@ -82,7 +82,8 @@ def win_matrix(records_by_dataset: dict) -> WinMatrix:
 
     ``records_by_dataset`` maps a dataset name to that setting's RunRecords
     (all strategies, all seeds). Strategy ids are ordered alphabetically;
-    iterations per dataset truncate to the shortest record.
+    iterations per dataset truncate to the shortest record. A dataset with
+    no records, or a record with no rows, is a ValueError naming it.
     """
     names = sorted(records_by_dataset)
     strategies = sorted({rec.strategy for recs in records_by_dataset.values() for rec in recs})
@@ -91,6 +92,13 @@ def win_matrix(records_by_dataset: dict) -> WinMatrix:
     per_dataset = {}
     for name in names:
         recs = records_by_dataset[name]
+        if not recs:
+            raise ValueError(f"dataset {name!r}: no records")
+        for rec in recs:
+            if not rec.rows:
+                raise ValueError(
+                    f"dataset {name!r}: strategy {rec.strategy!r}, seed {rec.seed} has no rows"
+                )
         grouped = {sid: [r for r in recs if r.strategy == sid] for sid in strategies}
         seed_sets = {sid: sorted(r.seed for r in g) for sid, g in grouped.items() if g}
         distinct = {tuple(v) for v in seed_sets.values()}

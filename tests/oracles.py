@@ -76,13 +76,18 @@ def cross_entropy_loss_and_grad(
     return loss, grad_w, grad_b
 
 
-def adamw_fit(features, labels, num_classes: int, config, seed: int, sample_weights=None):
-    """One cell's AdamW fit, one epoch's mask draw at a time: (weights, bias).
+def adamw_fit(
+    features, labels, num_classes: int, config, seed: int, sample_weights=None, dtype=np.float32
+):
+    """One cell's AdamW fit, one epoch's mask draw at a time: float64 (weights, bias).
 
-    This is the loop ``train_batch`` runs for many cells at once, with masks
-    drawn in blocks of epochs; the two must agree bit for bit. Raises
-    ``TrainingDiverged`` at the first epoch with a non-finite loss.
+    With ``dtype=np.float32`` this is the loop ``train_batch`` runs for many
+    cells at once, with masks drawn in blocks of epochs; the two must agree
+    bit for bit. ``dtype=np.float64`` runs the same loop in float64, a
+    reference for what training in float32 costs. Raises ``TrainingDiverged`` at the first epoch with a
+    non-finite loss, checked in float64.
     """
+    f = dtype
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     n, d = X.shape
@@ -94,12 +99,12 @@ def adamw_fit(features, labels, num_classes: int, config, seed: int, sample_weig
     gather = (np.arange(n), y)
     tiny = np.finfo(np.float64).tiny
 
-    X_scaled = X / (1.0 - rho)
-    aug = np.ones((n, d + 1))
-    params = np.zeros((num_classes, d + 1))
+    X_scaled = (X / (1.0 - rho)).astype(f)
+    aug = np.ones((n, d + 1), dtype=f)
+    params = np.zeros((num_classes, d + 1), dtype=f)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
-    lr, wd = config.learning_rate, config.weight_decay
+    lr, lr_wd = f(config.learning_rate), f(config.learning_rate * config.weight_decay)
     for epoch in range(1, config.epochs + 1):
         mask = rng.random((n, d), dtype=np.float32) >= rho
         np.multiply(X_scaled, mask, out=aug[:, :d])
@@ -107,20 +112,21 @@ def adamw_fit(features, labels, num_classes: int, config, seed: int, sample_weig
         probs -= probs.max(axis=1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=1, keepdims=True)
-        loss = -float(wn @ np.log(np.maximum(probs[gather], tiny)))
+        loss = -float(wn @ np.log(np.maximum(probs[gather].astype(np.float64), tiny)))
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch)
-        probs[gather] -= 1.0
-        probs *= wn[:, None]
+        probs[gather] -= f(1.0)
+        probs *= wn.astype(f)[:, None]
         grad = probs.T @ aug
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        step = (m / (1.0 - ADAM_BETA1**epoch)) / (
-            np.sqrt(v / (1.0 - ADAM_BETA2**epoch)) + ADAM_EPS
+        m *= f(ADAM_BETA1)
+        m += f(1.0 - ADAM_BETA1) * grad
+        v *= f(ADAM_BETA2)
+        v += f(1.0 - ADAM_BETA2) * grad * grad
+        step = (m / f(1.0 - ADAM_BETA1**epoch)) / (
+            np.sqrt(v / f(1.0 - ADAM_BETA2**epoch)) + f(ADAM_EPS)
         )
-        params -= lr * step + lr * wd * params
+        params -= lr * step + lr_wd * params
+    params = params.astype(np.float64)
     if not np.all(np.isfinite(params)):
         raise TrainingDiverged(config.epochs)
     return params[:, :d], params[:, d]

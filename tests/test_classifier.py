@@ -87,6 +87,51 @@ def test_train_batch_equals_solo_fits_bitwise(monkeypatch, k_cells, n, d, num_cl
             assert clf.bias.tobytes() == ref_b.tobytes()
 
 
+def test_the_loop_runs_in_float32_and_returns_float64_heads(monkeypatch):
+    seen = []
+    softmax = classifier._softmax
+
+    def recording_softmax(logits):
+        seen.append(logits.dtype)
+        return softmax(logits)
+
+    monkeypatch.setattr(classifier, "_softmax", recording_softmax)
+    X, Y, seeds, weights = _cells(np.random.default_rng(14), 3, 20, 5, 4)
+    config = TrainConfig(epochs=10)
+    heads = train_batch(X, Y, 4, config, seeds, weights)
+    assert seen == [np.float32] * config.epochs
+    for head in heads:
+        assert head.weights.dtype == head.bias.dtype == np.float64
+    # the same values as float64 features give the same head bytes
+    again = train_batch(X.astype(np.float64), Y, 4, config, seeds, weights)
+    for a, b in zip(heads, again):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_training_stays_close_to_the_float64_loop(seed):
+    # Bounds set from data seeds 1-3 x fit seeds 0-2 at this shape: max |dW|
+    # <= 3.5e-6 and max |dP| <= 3.7e-7 on the test split. The bias moves
+    # further (about +0.008) but only along the all-ones direction, which
+    # softmax ignores: the bias gradient sums to zero over the classes, and
+    # Adam scales the float32 rounding noise of that sum up to full steps;
+    # the centered bias differs by <= 3.4e-7.
+    ds = generate_synthetic(10, 30, 32, 4.0, seed=1)
+    X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
+    config = TrainConfig(epochs=500)
+    head = train(X, y, 10, config, seed)
+    ref = LinearClassifier(*adamw_fit(X, y, 10, config, seed, dtype=np.float64))
+    test = ds.features[ds.test_indices]
+    probs, ref_probs = predict_proba(head, test), predict_proba(ref, test)
+    assert np.abs(probs - ref_probs).max() < 1e-5
+    assert np.array_equal(probs.argmax(axis=1), ref_probs.argmax(axis=1))
+    assert np.abs(head.weights - ref.weights).max() < 1e-5
+    db = head.bias - ref.bias
+    assert np.abs(db - db.mean()).max() < 1e-5
+    assert abs(db.mean()) < 0.02
+
+
 def _assert_raises_solo_error(bad, X, Y, num_classes, config, seeds, weights=None):
     """``train_batch`` raises the type and message of cell ``bad``'s solo ``train``."""
     weights = weights or [None] * len(X)
@@ -100,14 +145,15 @@ def _assert_raises_solo_error(bad, X, Y, num_classes, config, seeds, weights=Non
 
 def test_a_diverging_cell_fails_the_batch_at_its_solo_epoch():
     # with lr * wd = 10 the decoupled decay multiplies the weights by -9 each
-    # epoch, so the logits overflow after a number of epochs set by the feature
-    # scale: cell 0 (unit scale) finishes, cell 1 (1e100) diverges late, and
-    # cell 2 (one 1e308 entry, which the dropout scaling makes inf) at once
+    # epoch, so the float32 logits overflow after a number of epochs set by the
+    # feature scale: cell 0 (unit scale) finishes, cell 1 (1e15) diverges late,
+    # and cell 2 (one 1e38 entry, which the dropout scaling takes past
+    # float32's range) at once
     rng = np.random.default_rng(1)
     X, Y = rng.normal(size=(3, 6, 4)), rng.integers(0, 3, (3, 6))
-    X[1] *= 1e100
-    X[2, 0, 0] = 1e308
-    config = TrainConfig(learning_rate=1.0, weight_decay=10.0, epochs=300)
+    X[1] *= 1e15
+    X[2, 0, 0] = 1e38
+    config = TrainConfig(learning_rate=1.0, weight_decay=10.0, epochs=30)
     seeds = [1, 2, 3]
     with np.errstate(over="ignore", invalid="ignore"):
         solo_epochs = []
@@ -125,6 +171,21 @@ def test_a_diverging_cell_fails_the_batch_at_its_solo_epoch():
     (head,) = train_batch(X[:1], Y[:1], 3, config, seeds[:1])
     assert head.weights.tobytes() == ref_w.tobytes()
     assert head.bias.tobytes() == ref_b.tobytes()
+
+
+@pytest.mark.parametrize("big", [1e39, 1e100])
+def test_a_feature_beyond_float32_diverges_at_epoch_1(big):
+    # finite in float64, where the first epoch still fits, but inf once the
+    # loop rounds the features to float32
+    rng = np.random.default_rng(2)
+    X, y = rng.normal(size=(6, 4)), rng.integers(0, 3, 6)
+    X[0, 0] = big
+    config = TrainConfig(dropout_rho=0.0, epochs=1)
+    W, b = adamw_fit(X, y, 3, config, 0, dtype=np.float64)
+    assert np.all(np.isfinite(W)) and np.all(np.isfinite(b))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as err:
+        train(X, y, 3, config, seed=0)
+    assert err.value.epoch == 1
 
 
 def test_bad_sample_weights_fail_the_batch_before_any_epoch():

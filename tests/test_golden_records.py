@@ -26,7 +26,7 @@ GRIDS = {
     ),
     "diversify": (
         ["--strategies", SCORED, "--diversify"],
-        "f55812d3fafdb0b5668fee3a9335e0b48eb611d09bf982774ad68aec83642b9a",
+        "705a3341537a17f0e40798ebf3493aac4b36fbe6957616b0ea3b3b6a9b6ce7e6",
     ),
     "diversify-dropout": (
         ["--strategies", SCORED, "--diversify", "--inference-dropout"],
@@ -39,11 +39,11 @@ GRIDS = {
     # rho 0: no pass ever disagrees, so dropquery takes its empty-candidate path
     "dq-rho0": (
         ["--strategies", "dropquery", "--rho", "0"],
-        "5832d406aa2d80ed68336b6c2029980709453aae71a9da63c1b39320a8da3241",
+        "446f41268859d27f374ad526c2433ec48822cdcc76a261853d1e395fb8f0f8c7",
     ),
     "init-centroid": (
         ["--init", "centroid"],
-        "e2317f89065a0038882a17dd5b79ce018f9249c6d591240d84c5ba3ef4e8c06f",
+        "4638aca8e60572235aa0db58375b1a810d4f28f487f01c9fcbbf599613b625e7",
     ),
     # alfamix has no anchors before the first reveal, so it cannot pick its own pool
     "init-own": (

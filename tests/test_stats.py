@@ -152,6 +152,17 @@ class TestWinMatrix:
             win_matrix({"ds": recs})
 
 
+    def test_dataset_without_records_rejected(self):
+        with pytest.raises(ValueError, match="dataset 'a': no records"):
+            win_matrix({"a": []})
+        with pytest.raises(ValueError, match="dataset 'b': no records"):
+            win_matrix({"a": self.two_strategy_dataset(), "b": []})
+
+    def test_record_without_rows_rejected(self):
+        recs = self.two_strategy_dataset() + make_records("empty", {s: [] for s in (1, 2, 3, 4, 5)})
+        with pytest.raises(ValueError, match="dataset 'ds': strategy 'empty', seed 1 has no rows"):
+            win_matrix({"ds": recs})
+
 def test_aggregate_matches_two_pass_reference():
     rng = np.random.default_rng(4)
     accs = {s: rng.random(6).tolist() for s in (1, 2, 3, 4, 5)}
