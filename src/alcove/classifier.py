@@ -44,6 +44,10 @@ class TrainConfig:
     epochs: int = 500
 
     def __post_init__(self):
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.dropout_rho < 1.0:
             raise ValueError(f"dropout_rho must be in [0, 1), got {self.dropout_rho}")
         if self.epochs < 1:
@@ -99,9 +103,7 @@ def train(
     Deterministic in seed. This is ``train_batch`` over one cell: it fits or
     raises as that does.
     """
-    X = np.asarray(features, dtype=np.float64)[None]
-    y = np.asarray(labels, dtype=np.int64)[None]
-    return train_batch(X, y, num_classes, config, [seed], [sample_weights])[0]
+    return train_batch([features], [labels], num_classes, config, [seed], [sample_weights])[0]
 
 
 def _normalized_weights(sample_weights, n: int) -> np.ndarray:
@@ -280,9 +282,8 @@ def mc_dropout_proba(
     Callers that only reduce over the passes iterate ``mc_dropout_passes``
     instead and never hold the stack.
     """
-    X = np.asarray(features, dtype=np.float64)
-    passes = mc_dropout_passes(clf, X, samples, seed)
-    out = np.empty((samples, X.shape[0], clf.num_classes))
+    passes = mc_dropout_passes(clf, features, samples, seed)
+    out = np.empty((samples, len(features), clf.num_classes))
     for s, probs in enumerate(passes):
         out[s] = probs
     return out

@@ -27,10 +27,10 @@ MANIFEST_KEYS = ("n", "d", "num_classes", "dtype", "features", "labels", "train_
 class EmbeddingDataset:
     """An N x d feature matrix with hidden labels and a train/test split.
 
-    Immutable after construction: ``run_al`` and ``run_bench`` cache what
-    they derive from it (float64 features, kNN graph, cold starts, round-1
-    heads) per object, so an in-place edit of its arrays is not seen.
-    Equality and hashing are by identity.
+    Immutable after construction: ``features`` is a read-only float32 view
+    (the caller's array stays writable), and ``run_al`` and ``run_bench``
+    cache what they derive from the dataset per object, so an in-place edit
+    of its other arrays is not seen. Equality and hashing are by identity.
     """
 
     features: np.ndarray  # (n, d) float32
@@ -40,7 +40,8 @@ class EmbeddingDataset:
     test_indices: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float32)
+        self.features = np.ascontiguousarray(self.features, dtype=np.float32).view()
+        self.features.flags.writeable = False
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.train_indices = np.asarray(self.train_indices, dtype=np.int64)
         self.test_indices = np.asarray(self.test_indices, dtype=np.int64)

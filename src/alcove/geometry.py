@@ -32,6 +32,11 @@ class Clustering:
     inertia_history: list = field(default_factory=list, repr=False)
 
 
+def _rows(features, idx) -> np.ndarray:
+    """``features[idx]`` as float64: the rows are gathered first, so only they are cast."""
+    return np.asarray(np.asarray(features)[idx], dtype=np.float64)
+
+
 def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 

@@ -13,12 +13,12 @@ drives one cell; ``run_bench`` drives a grid's cells in lockstep and fits
 each round's heads together with ``train_batch``, which fits or raises. A
 batch that raises falls back to ``run_al``'s step, one solo fit per cell, so
 only the harness isolates a failing cell: it reports its solo error and the
-others keep their bits. Both read what no run changes (the float64
-features, the sorted pool, the kNN graph, the cold starts and the heads fit
-on them) from ``grid_inputs``, built once per dataset object; the pool's
-rows are gathered from the features where used. A round-1 head depends on the cold start, the seed and the fit
-settings but not on the strategy, so ``start`` fits it (and,
-semisupervised, propagates once) next to the random or centroid cold
+others keep their bits. Both read what no run changes (the sorted pool, the
+kNN graph, the cold starts and the heads fit on them) from ``grid_inputs``,
+built once per dataset object. No copy of the features is kept: each use
+casts only the rows it gathers. A round-1 head depends on the cold start,
+the seed and the fit settings but not on the strategy, so ``start`` fits it
+(and, semisupervised, propagates once) next to the random or centroid cold
 start it is fit on, and hands it to every cell that shares them. A cell's
 strategy state comes from ``strategies.prepare`` once, in ``start``, and
 goes to each of its queries; the harness never looks at a strategy's kind.
@@ -119,7 +119,7 @@ class LabelOracle:
 
 @dataclass
 class GridInputs:
-    """What the cells on one dataset share and only read.
+    """What the cells on one dataset share and only read, besides ``dataset.features``.
 
     ``start`` adds the kNN graph when the first semisupervised cell starts,
     and a random or centroid cold start when the first cell with its
@@ -129,9 +129,8 @@ class GridInputs:
     semisupervised).
     """
 
-    features: np.ndarray  # float64, every point; no copy of the pool's rows is kept
     pool: np.ndarray  # the train indices, sorted
-    graph: object = None  # kNN graph over features[pool]
+    graph: object = None  # kNN graph over dataset.features[pool]
     cold_starts: dict = field(default_factory=dict)  # (init, B, seed) -> initial pool
     heads: dict = field(default_factory=dict)  # (init, B, seed, fit, semisup) -> round-1 head
 
@@ -144,10 +143,7 @@ def grid_inputs(dataset: EmbeddingDataset) -> GridInputs:
     """The dataset's shared inputs, built on first use and kept while it lives."""
     inputs = _GRID_INPUTS.get(dataset)
     if inputs is None:
-        # copies, so that marking them read-only leaves the dataset's arrays be
-        features = np.array(dataset.features, dtype=np.float64)
-        pool = np.sort(dataset.train_indices)
-        inputs = _GRID_INPUTS[dataset] = GridInputs(_read_only(features), _read_only(pool))
+        inputs = _GRID_INPUTS[dataset] = GridInputs(_read_only(np.sort(dataset.train_indices)))
     return inputs
 
 
@@ -209,7 +205,7 @@ def start(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> Cell:
     """
     inputs = grid_inputs(dataset)
     if config.semisupervised and inputs.graph is None:
-        inputs.graph = build_knn_graph(inputs.features[inputs.pool])
+        inputs.graph = build_knn_graph(dataset.features[inputs.pool])
     b = config.budget or dataset.num_classes
     cell = Cell(
         dataset,
@@ -218,7 +214,7 @@ def start(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> Cell:
         b,
         LabelOracle(dataset.labels, inputs.pool),
         np.full(len(inputs.pool), -1, dtype=np.int64),
-        prepare(config.strategy, inputs.features, inputs.pool, dataset.num_classes, seed),
+        prepare(config.strategy, dataset.features, inputs.pool, dataset.num_classes, seed),
         RunRecord(strategy=config.strategy.strategy_id(), seed=seed),
     )
     if config.init == "own":
@@ -231,7 +227,7 @@ def start(dataset: EmbeddingDataset, config: RunConfig, seed: int) -> Cell:
         inputs.cold_starts[key] = _read_only(
             random_init(inputs.pool, b, init_seed)
             if config.init == "random"
-            else centroid_init(inputs.features, inputs.pool, b, init_seed)
+            else centroid_init(dataset.features, inputs.pool, b, init_seed)
         )
     cell.reveal(inputs.cold_starts[key])
     key += (astuple(config.train), config.semisupervised)
@@ -251,9 +247,9 @@ def training_inputs(cell: Cell) -> Fit:
         onehot = cell.labels[:, None] == np.arange(cell.dataset.num_classes)
         prop = label_propagate(cell.inputs.graph, onehot.astype(np.float64))
         pseudo = np.argmax(prop.pseudo_probs, axis=1)
-        return Fit(cell.inputs.features[cell.inputs.pool], pseudo, seed, prop.weights)
+        return Fit(cell.dataset.features[cell.inputs.pool], pseudo, seed, prop.weights)
     labeled, labeled_y, _ = cell.split()
-    return Fit(cell.inputs.features[labeled], labeled_y, seed, None)
+    return Fit(cell.dataset.features[labeled], labeled_y, seed, None)
 
 
 def _fit(cell: Cell) -> LinearClassifier:
@@ -267,7 +263,7 @@ def _query(cell: Cell, clf, seed: int):
     labeled, labeled_y, unlabeled = cell.split()
     res = query(
         cell.config.strategy,
-        cell.inputs.features,
+        cell.dataset.features,
         clf,
         labeled=labeled,
         labeled_labels=labeled_y,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .geometry import kmeans, nearest_to_centroids
+from .geometry import _rows, kmeans, nearest_to_centroids
 
 
 def random_init(train_indices, b: int, seed: int) -> np.ndarray:
@@ -27,7 +27,7 @@ def centroid_init(features: np.ndarray, train_indices, b: int, seed: int) -> np.
     min(b, |train|) with the train indices not yet picked, in index order.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
-    X = np.asarray(features, dtype=np.float64)[train_indices]
+    X = _rows(features, train_indices)
     b_eff = min(b, len(train_indices))
     picked = train_indices[nearest_to_centroids(X, kmeans(X, b_eff, seed))]
     return _pad(picked, np.sort(train_indices), b_eff)

@@ -7,7 +7,7 @@ graph, so each round runs only the cover.
 
 All strategies are pure functions of their arguments plus a seed; repeated
 invocation is bit-identical. Ties always break toward the smaller dataset
-index. Probability work happens in float64.
+index. Feature rows are gathered, then cast; probability work is float64.
 """
 
 from dataclasses import dataclass
@@ -20,6 +20,7 @@ from .geometry import (
     _ball_graph,
     _kmeanspp_from_dist,
     _nearest_other_label_dist,
+    _rows,
     _sq_norms,
     _weighted_pick,
     greedy_k_center,
@@ -177,8 +178,8 @@ def _cluster_pick(
     picked = np.empty(0, dtype=np.int64)
     k = min(b, len(candidates))
     if k >= 1:
-        cl = kmeans(features[candidates], k, seed)
-        picked = candidates[nearest_to_centroids(features[candidates], cl)]
+        points = _rows(features, candidates)
+        picked = candidates[nearest_to_centroids(points, kmeans(points, k, seed))]
     return _pad(picked, fallback, b)
 
 
@@ -195,7 +196,6 @@ def diversify(
     through the public geometry API. Shortfalls are padded from the shortlist
     in score order.
     """
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
     b_eff = min(b, len(unlabeled))
     shortlist = _score_order(scores, unlabeled)[: SHORTLIST_FACTOR * b_eff]
     return _cluster_pick(features, shortlist, shortlist, b_eff, seed)
@@ -232,7 +232,7 @@ def query_powerbald(
 def query_coreset(features: np.ndarray, labeled, unlabeled, b: int) -> np.ndarray:
     """Greedy k-center over the train pool with labeled points as existing centers."""
     pool, is_labeled = _train_pool(labeled, unlabeled)
-    picks = greedy_k_center(features[pool], np.flatnonzero(is_labeled), min(b, len(unlabeled)))
+    picks = greedy_k_center(_rows(features, pool), np.flatnonzero(is_labeled), min(b, len(unlabeled)))
     return pool[picks]
 
 
@@ -252,7 +252,7 @@ def query_badge(
     b_eff = min(b, len(unlabeled))
     if b_eff == 0:
         return np.empty(0, dtype=np.int64)
-    Z = np.asarray(features, dtype=np.float64)[unlabeled]
+    Z = _rows(features, unlabeled)
     P = _probs_minus_onehot(predict_proba(clf, Z))
     z2 = _sq_norms(Z)
     p2 = _sq_norms(P)
@@ -319,13 +319,11 @@ def query_alfamix(
             "(use random or centroid init)"
         )
     b_eff = min(b, len(unlabeled))
-    X = np.asarray(features, dtype=np.float64)
-    d = X.shape[1]
-    eps = eps_scale / np.sqrt(d)
+    U = _rows(features, unlabeled)
+    eps = eps_scale / np.sqrt(U.shape[1])
     y_lab = np.asarray(labeled_labels, dtype=np.int64)
-    anchors = np.stack([X[labeled[y_lab == c]].mean(axis=0) for c in np.unique(y_lab)])
+    anchors = np.stack([_rows(features, labeled[y_lab == c]).mean(axis=0) for c in np.unique(y_lab)])
 
-    U = X[unlabeled]
     probs = predict_proba(clf, U)
     flips = _anchor_flips(clf, U, probs, anchors, eps)
 
@@ -334,7 +332,7 @@ def query_alfamix(
     cands = unlabeled[cand_mask]
     cand_order = cands[np.lexsort((cands, -entropy[cand_mask], -flips[cand_mask].astype(np.float64)))]
     rest_order = _score_order(entropy[~cand_mask], unlabeled[~cand_mask])
-    return _cluster_pick(X, cands, np.concatenate([cand_order, rest_order]), b_eff, seed)
+    return _cluster_pick(features, cands, np.concatenate([cand_order, rest_order]), b_eff, seed)
 
 
 def _typicality_all(features: np.ndarray, k: int) -> np.ndarray:
@@ -363,7 +361,7 @@ def query_typiclust(
     if b_eff == 0:
         return np.empty(0, dtype=np.int64)
     pool, is_labeled = _train_pool(labeled, unlabeled)
-    X = np.asarray(features, dtype=np.float64)[pool]
+    X = _rows(features, pool)
     k = min(len(labeled) + b_eff, max_clusters, len(pool))
     cl = kmeans(X, k, seed)
 
@@ -476,7 +474,7 @@ def query_probcover(features: np.ndarray, labeled, unlabeled, b: int, delta: Opt
     if delta is None:
         raise ValueError("probcover needs delta: pass estimate_delta(...) of the train rows being labeled")
     pool, is_labeled = _train_pool(labeled, unlabeled)
-    state = _ball_state(np.asarray(features, dtype=np.float64)[pool], pool, delta)
+    state = _ball_state(_rows(features, pool), pool, delta)
     return _greedy_cover(state, is_labeled, min(b, len(unlabeled)))
 
 
@@ -507,8 +505,7 @@ def dropquery(
     b_eff = min(b, len(unlabeled))
     if b_eff == 0:
         return QueryResult(np.empty(0, dtype=np.int64), candidate_fraction=0.0)
-    X = np.asarray(features, dtype=np.float64)
-    U = X[unlabeled]
+    U = _rows(features, unlabeled)
     base_probs = predict_proba(clf, U)
     base = np.argmax(base_probs, axis=1)
     mc = mc_dropout_proba(clf, U, m, seed)
@@ -526,7 +523,7 @@ def dropquery(
     margin_order = _score_order(score_margin(base_probs), unlabeled)
     if cands.size == 0:
         cands = margin_order[: SHORTLIST_FACTOR * b_eff]
-    selected = _cluster_pick(X, cands, margin_order, b_eff, seed)
+    selected = _cluster_pick(features, cands, margin_order, b_eff, seed)
     return QueryResult(selected, candidate_fraction=fraction)
 
 
@@ -554,7 +551,7 @@ _PROB_SCORERS = {"uncertainty": score_uncertainty, "entropy": score_entropy, "ma
 
 def _scores(spec: QuerySpec, r: _Round) -> np.ndarray:
     """Acquisition scores of the unlabeled points, higher = query first."""
-    U = r.features[r.unlabeled]
+    U = _rows(r.features, r.unlabeled)
     if spec.kind not in _PROB_SCORERS:
         return score_bald(mc_dropout_passes(r.clf, U, MC_SAMPLES, derive_seed(r.seed, "mc")))
     if spec.inference_dropout:
@@ -624,7 +621,7 @@ def prepare(spec: QuerySpec, features: np.ndarray, pool, num_classes: int, seed:
     if spec.kind != "probcover":
         return None
     pool = np.sort(np.asarray(pool, dtype=np.int64))
-    points = np.asarray(np.asarray(features)[pool], dtype=np.float64)
+    points = _rows(features, pool)
     delta = estimate_delta(points, num_classes, seed=derive_seed(seed, "probcover/delta"))
     return _ball_state(points, pool, delta)
 
@@ -645,12 +642,12 @@ def query(
     ``state`` is ``prepare``'s result over the train pool labeled | unlabeled;
     probcover needs it.
     """
+    if b < 0:
+        raise ValueError(f"b must be >= 0, got {b}")
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     b_eff = min(b, len(unlabeled))
     if b_eff == 0:
         return QueryResult(np.empty(0, dtype=np.int64))
-    r = _Round(
-        np.asarray(features, dtype=np.float64), clf, labeled, labeled_labels, unlabeled, b_eff, seed, state
-    )
+    r = _Round(features, clf, labeled, labeled_labels, unlabeled, b_eff, seed, state)
     out = _STRATEGIES[spec.kind](spec, r)
     return out if isinstance(out, QueryResult) else QueryResult(out)

@@ -372,6 +372,23 @@ def test_epochs_below_one_rejected(epochs):
         TrainConfig(epochs=epochs)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.01, float("nan"), float("inf")])
+def test_learning_rate_not_finite_and_positive_rejected(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=lr)
+
+
+@pytest.mark.parametrize("wd", [-5.0, -1e-12, float("nan"), float("inf")])
+def test_weight_decay_not_finite_and_non_negative_rejected(wd):
+    with pytest.raises(ValueError, match="weight_decay"):
+        TrainConfig(weight_decay=wd)
+
+
+def test_zero_weight_decay_and_huge_finite_settings_are_accepted():
+    TrainConfig(weight_decay=0.0)
+    TrainConfig(learning_rate=1.0, weight_decay=1e200)  # diverges in training, not here
+
+
 class TestMcDropout:
     def test_rho_zero_identity(self):
         rng = np.random.default_rng(4)

@@ -184,3 +184,12 @@ def test_synthetic_validates_preconditions():
         generate_synthetic(3, 2, 4, 1.0, seed=0)  # round(0.2 * 2) = 0 test points
     with pytest.raises(ValueError):
         generate_synthetic(8, 10, 4, 1.0, seed=0)  # dim < num_classes
+
+
+def test_features_are_a_read_only_view_of_a_writable_caller_array():
+    feats = np.zeros((4, 2), dtype=np.float32)
+    ds = EmbeddingDataset(feats, [0, 0, 1, 1], 2, train_indices=[0, 1, 2, 3])
+    assert np.shares_memory(ds.features, feats)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.features[0, 0] = 1.0
+    feats[0, 0] = 1.0  # the caller's own array stays writable

@@ -507,7 +507,7 @@ class TestGridInputs:
         ds = small_dataset()
         run_al(ds, RunConfig(strategy=QuerySpec("random"), iterations=1, train=fast_train()), seed=1)
         inputs = harness.grid_inputs(ds)
-        for array in (inputs.features, inputs.pool, *inputs.cold_starts.values()):
+        for array in (ds.features, inputs.pool, *inputs.cold_starts.values()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 

@@ -88,3 +88,13 @@ def test_both_inits_return_distinct_indices():
         c = centroid_init(feats, train, b, seed=1)
         assert len(set(r.tolist())) == b
         assert len(set(c.tolist())) == b
+
+
+def test_centroid_init_picks_the_same_on_float32_features_as_on_their_float64_cast():
+    rng = np.random.default_rng(6)
+    f32 = rng.normal(size=(60, 5)).astype(np.float32)
+    train = np.arange(3, 60, 2)
+    for b in (1, 4, 9):
+        assert centroid_init(f32, train, b, seed=2).tolist() == centroid_init(
+            f32.astype(np.float64), train, b, seed=2
+        ).tolist()

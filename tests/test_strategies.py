@@ -944,3 +944,60 @@ def test_alfamix_peaks_below_five_point_matrices():
     n, d, c = 2000, 256, 10
     peak, u = query_peak_bytes("alfamix", n, d, c)
     assert peak < 5 * u * d * 8, f"alfamix peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_negative_budget_rejected(kind):
+    rng = np.random.default_rng(32)
+    feats = rng.normal(size=(20, 3))
+    clf = random_clf(rng, 3, 3)
+    spec = QuerySpec(kind)
+    state = prepare(spec, feats, np.arange(20), 3, seed=0)
+    with pytest.raises(ValueError, match="b must be >= 0, got -2"):
+        query(spec, feats, clf, [0, 1, 2], [0, 1, 2], np.arange(3, 20), -2, seed=0, state=state)
+
+
+SPECS = [QuerySpec(kind) for kind in ALL_KINDS] + [
+    QuerySpec("margins", diversify=True),
+    QuerySpec("entropy", diversify=True, inference_dropout=True),
+    QuerySpec("dropquery", dq_literal=True),
+]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.strategy_id())
+def test_float32_features_pick_what_their_float64_cast_does(spec):
+    rng = np.random.default_rng(33)
+    means = 3.0 * np.repeat(np.eye(3, 6), [30, 30, 20], axis=0)
+    f32 = (rng.normal(size=(80, 6)) + means).astype(np.float32)
+    f64 = f32.astype(np.float64)
+    clf = LinearClassifier(rng.normal(size=(3, 6)), rng.normal(size=3), dropout_rho=0.5)
+    pool = np.arange(4, 80)  # rows 0-3 are in no pool, so the gathers leave them out
+    labeled = np.array([4, 40, 70])
+    unlabeled = np.setdiff1d(pool, labeled)
+    picks = []
+    for feats in (f32, f64):
+        state = prepare(spec, feats, pool, 3, seed=6)
+        for b in (1, 5, 30):
+            res = query(spec, feats, clf, labeled, [0, 1, 2], unlabeled, b, seed=6, state=state)
+            picks.append((b, res.selected.tolist(), res.candidate_fraction))
+    assert picks[:3] == picks[3:]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_query_gathers_only_the_rows_it_uses(kind):
+    # a float32 matrix of n points, of which only a 43-point train pool is queried
+    n, d, c = 20000, 32, 3
+    rng = np.random.default_rng(34)
+    feats = rng.normal(size=(n, d)).astype(np.float32)
+    clf = LinearClassifier(rng.normal(size=(c, d)) * 0.3, rng.normal(size=c), dropout_rho=0.5)
+    labeled, unlabeled = np.arange(c), np.arange(c, 43)
+    spec = QuerySpec(kind)
+    tracemalloc.start()
+    try:
+        state = prepare(spec, feats, np.arange(43), c, seed=1)
+        query(spec, feats, clf, labeled, labeled, unlabeled, 10, seed=1, state=state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below even a float32 copy of the matrix, half of the float64 one a whole-matrix cast makes
+    assert peak < n * d * 4, f"{kind} peaked at {peak / 2**20:.2f} MiB"
