@@ -23,14 +23,15 @@ MANIFEST_NAME = "dataset.json"
 MANIFEST_KEYS = ("n", "d", "num_classes", "dtype", "features", "labels", "train_indices", "test_indices")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class EmbeddingDataset:
     """An N x d feature matrix with hidden labels and a train/test split.
 
-    Immutable after construction: ``features`` is a read-only float32 view
-    (the caller's array stays writable), and ``run_al`` and ``run_bench``
-    cache what they derive from the dataset per object, so an in-place edit
-    of its other arrays is not seen. Equality and hashing are by identity.
+    Immutable after construction: its fields cannot be reassigned, and
+    ``features`` is a read-only float32 view (the caller's array stays
+    writable). ``run_al`` and ``run_bench`` cache what they derive from the
+    dataset per object, so an in-place edit of its other arrays is not seen.
+    Equality and hashing are by identity.
     """
 
     features: np.ndarray  # (n, d) float32
@@ -40,11 +41,11 @@ class EmbeddingDataset:
     test_indices: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float32).view()
-        self.features.flags.writeable = False
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.train_indices = np.asarray(self.train_indices, dtype=np.int64)
-        self.test_indices = np.asarray(self.test_indices, dtype=np.int64)
+        features = np.ascontiguousarray(self.features, dtype=np.float32).view()
+        features.flags.writeable = False
+        object.__setattr__(self, "features", features)
+        for name in ("labels", "train_indices", "test_indices"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
 
     @property
     def n(self) -> int:

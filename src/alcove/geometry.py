@@ -96,6 +96,16 @@ def _smallest_k(d2: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
+def _knn_blocks(points: np.ndarray, k: int):
+    """Yield (rows, order, d2) per row block of _row_blocks(points): order
+    holds the block's k nearest columns per row, self excluded, ordered by
+    (distance, column), and d2 the block's squared distances with the self
+    entries set to inf. Needs 1 <= k < len(points)."""
+    for rows, d2 in _row_blocks(points):
+        np.fill_diagonal(d2[:, rows.start :], np.inf)
+        yield rows, _smallest_k(d2, k), d2
+
+
 def knn(points: np.ndarray, k: int):
     """Exact k nearest neighbors per point, self excluded.
 
@@ -110,9 +120,7 @@ def knn(points: np.ndarray, k: int):
         raise ValueError(f"k={k} must be < number of points {m}")
     idx = np.empty((m, k), dtype=np.int64)
     dist = np.empty((m, k))
-    for rows, d2 in _row_blocks(points):
-        np.fill_diagonal(d2[:, rows.start :], np.inf)
-        order = _smallest_k(d2, k)
+    for rows, order, d2 in _knn_blocks(points, k):
         idx[rows] = order
         dist[rows] = np.sqrt(np.take_along_axis(d2, order, axis=1))
     return idx, dist

@@ -5,11 +5,19 @@ import numpy as np
 from .geometry import _rows, kmeans, nearest_to_centroids
 
 
+def _budget(b: int, pool) -> int:
+    """min(b, len(pool)), the number of picks a budget of b allows from ``pool``;
+    a negative b raises ValueError."""
+    if b < 0:
+        raise ValueError(f"b must be >= 0, got {b}")
+    return min(b, len(pool))
+
+
 def random_init(train_indices, b: int, seed: int) -> np.ndarray:
     """Uniform sample of b train indices without replacement."""
     train_indices = np.asarray(train_indices, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    return rng.choice(train_indices, size=min(b, len(train_indices)), replace=False)
+    return rng.choice(train_indices, size=_budget(b, train_indices), replace=False)
 
 
 def _pad(picked: np.ndarray, fallback: np.ndarray, b: int) -> np.ndarray:
@@ -28,6 +36,6 @@ def centroid_init(features: np.ndarray, train_indices, b: int, seed: int) -> np.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
     X = _rows(features, train_indices)
-    b_eff = min(b, len(train_indices))
+    b_eff = _budget(b, train_indices)
     picked = train_indices[nearest_to_centroids(X, kmeans(X, b_eff, seed))]
     return _pad(picked, np.sort(train_indices), b_eff)

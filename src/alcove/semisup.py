@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import geometry
-from .geometry import _sq_norms, knn
+from .geometry import _knn_blocks, _sq_norms
 from .strategies import score_entropy
 
 PROPAGATION_MAX_ITERS = 10000
@@ -32,38 +32,57 @@ class PropagationResult:
     weights: np.ndarray  # (n,) in [0, 1]
 
 
+def _knn_weights(features: np.ndarray, k: int) -> sp.csr_matrix:
+    """The kNN graph W before symmetrizing, for 1 <= k < n: row i holds the
+    columns of point i's k nearest neighbours in ascending order, weighted by
+    max(0, cosine similarity)^3, with a self edge weighted 0.
+
+    The similarities are gathered about geometry.BLOCK_BYTES of neighbour
+    features at a time, so no (n*k) x d copy of the features is ever built.
+    The float64 features and unit rows are freed when this returns, before
+    build_knn_graph symmetrizes W.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    n = X.shape[0]
+    unit = X / np.maximum(np.sqrt(_sq_norms(X)), 1e-12)[:, None]
+    cols = np.empty((n, k), dtype=np.int32)  # 2**31 points would not fit in memory
+    sims = np.empty((n, k))
+    step = max(1, geometry.BLOCK_BYTES // max(1, 8 * k * X.shape[1]))
+    for rows, order, _ in _knn_blocks(X, k):
+        order.sort(axis=1)
+        cols[rows] = order
+        for start in range(rows.start, rows.stop, step):
+            block = slice(start, min(start + step, rows.stop))
+            sims[block] = np.einsum("ij,ikj->ik", unit[block], unit[cols[block]])
+    sims[cols == np.arange(n)[:, None]] = 0.0  # no self loops
+    np.maximum(sims, 0.0, out=sims)
+    np.power(sims, 3, out=sims)
+    return sp.csr_matrix((sims.ravel(), cols.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
+
+
 def build_knn_graph(features: np.ndarray, k: int = 500) -> sp.csr_matrix:
     """Symmetric normalized affinity S = D^{-1/2} A D^{-1/2}.
 
     Edge weights are max(0, cosine similarity)^3 over kNN edges, symmetrized
     by max, zero diagonal. k >= n clamps to n - 1; with fewer than two points
     (or k < 1) the graph has no edges.
+
+    The neighbours come a row block at a time from knn's blocked distances,
+    so no n x n matrix is built. Beyond one block, the build holds the kNN
+    graph W, its transpose and the result, about three times the result's
+    bytes; the returned arrays have the result's exact size.
     """
-    X = np.asarray(features, dtype=np.float64)
-    n = X.shape[0]
+    n = np.shape(features)[0]
     k = min(k, n - 1)
     if k < 1:
         return sp.csr_matrix((n, n))
-    norms = np.sqrt(_sq_norms(X))
-    unit = X / np.maximum(norms, 1e-12)[:, None]
-
-    idx, _ = knn(X, k)
-    # cosine similarities of each row to its neighbors, gathered about
-    # geometry.BLOCK_BYTES of neighbour features at a time, so no (n*k) x d
-    # copy of the features is ever built
-    sims = np.empty((n, k))
-    step = max(1, geometry.BLOCK_BYTES // max(1, 8 * k * X.shape[1]))
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        sims[block] = np.einsum("ij,ikj->ik", unit[block], unit[idx[block]])
-    sims[idx == np.arange(n)[:, None]] = 0.0  # no self loops
-    np.maximum(sims, 0.0, out=sims)
-    np.power(sims, 3, out=sims)
-    w = sp.csr_matrix((sims.ravel(), idx.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
-    w.sort_indices()
+    w = _knn_weights(features, k)
     # the elementwise max stores only nonzero results, so edges of
-    # non-positive similarity drop out here
+    # non-positive similarity drop out here; its arrays are views of buffers
+    # sized for nnz(W) + nnz(W^T), so the graph kept is an exact-size copy
     a = w.maximum(w.T)
+    del w
+    a = a.copy()
 
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)

@@ -1,5 +1,6 @@
 """Acquisition functions: each one maps (features, classifier, pool, budget)
-to exactly min(B, |unlabeled|) distinct unlabeled indices.
+to exactly min(B, |unlabeled|) distinct unlabeled indices; a negative B raises
+ValueError.
 
 ``query`` runs a kind from the ``_STRATEGIES`` table. ``prepare`` builds
 what depends only on the train pool once per cell: probcover's delta-ball
@@ -28,7 +29,7 @@ from .geometry import (
     knn,
     nearest_to_centroids,
 )
-from .initpool import _pad, random_init
+from .initpool import _budget, _pad, random_init
 from .rng import derive_rng, derive_seed
 
 # a diversified query clusters the top SHORTLIST_FACTOR * B scored points
@@ -151,7 +152,7 @@ def _score_order(scores: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 def select_topb(scores: np.ndarray, unlabeled: np.ndarray, b: int) -> np.ndarray:
     """The b highest-scoring unlabeled indices; ties to the smaller index."""
-    return _score_order(scores, unlabeled)[:b]
+    return _score_order(scores, unlabeled)[: _budget(b, unlabeled)]
 
 
 def _probs_minus_onehot(probs: np.ndarray) -> np.ndarray:
@@ -176,7 +177,7 @@ def _cluster_pick(
     the candidates (kmeans seeded with ``seed``), padded to b from ``fallback``
     in order, skipping indices already picked."""
     picked = np.empty(0, dtype=np.int64)
-    k = min(b, len(candidates))
+    k = _budget(b, candidates)
     if k >= 1:
         points = _rows(features, candidates)
         picked = candidates[nearest_to_centroids(points, kmeans(points, k, seed))]
@@ -196,7 +197,7 @@ def diversify(
     through the public geometry API. Shortfalls are padded from the shortlist
     in score order.
     """
-    b_eff = min(b, len(unlabeled))
+    b_eff = _budget(b, unlabeled)
     shortlist = _score_order(scores, unlabeled)[: SHORTLIST_FACTOR * b_eff]
     return _cluster_pick(features, shortlist, shortlist, b_eff, seed)
 
@@ -217,7 +218,7 @@ def query_powerbald(
         raise ValueError(f"beta={beta} must be finite and >= 0")
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     weights = (np.maximum(np.asarray(bald_scores, dtype=np.float64), 0.0) + 1e-12) ** beta
-    b_eff = min(b, len(unlabeled))
+    b_eff = _budget(b, unlabeled)
     picks = []
     alive = np.ones(len(unlabeled), dtype=bool)
     for _ in range(b_eff):
@@ -232,7 +233,7 @@ def query_powerbald(
 def query_coreset(features: np.ndarray, labeled, unlabeled, b: int) -> np.ndarray:
     """Greedy k-center over the train pool with labeled points as existing centers."""
     pool, is_labeled = _train_pool(labeled, unlabeled)
-    picks = greedy_k_center(_rows(features, pool), np.flatnonzero(is_labeled), min(b, len(unlabeled)))
+    picks = greedy_k_center(_rows(features, pool), np.flatnonzero(is_labeled), _budget(b, unlabeled))
     return pool[picks]
 
 
@@ -249,7 +250,7 @@ def query_badge(
     k-means++ run on explicitly materialized embeddings sharing the rng.
     """
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
-    b_eff = min(b, len(unlabeled))
+    b_eff = _budget(b, unlabeled)
     if b_eff == 0:
         return np.empty(0, dtype=np.int64)
     Z = _rows(features, unlabeled)
@@ -318,7 +319,7 @@ def query_alfamix(
             "alfamix needs labeled anchors; select an initial pool first "
             "(use random or centroid init)"
         )
-    b_eff = min(b, len(unlabeled))
+    b_eff = _budget(b, unlabeled)
     U = _rows(features, unlabeled)
     eps = eps_scale / np.sqrt(U.shape[1])
     y_lab = np.asarray(labeled_labels, dtype=np.int64)
@@ -357,7 +358,7 @@ def query_typiclust(
     each, then the second densest of each cluster with one left, and so on."""
     if knn_k < 1:
         raise ValueError(f"knn_k={knn_k} must be at least 1")
-    b_eff = min(b, len(unlabeled))
+    b_eff = _budget(b, unlabeled)
     if b_eff == 0:
         return np.empty(0, dtype=np.int64)
     pool, is_labeled = _train_pool(labeled, unlabeled)
@@ -475,7 +476,7 @@ def query_probcover(features: np.ndarray, labeled, unlabeled, b: int, delta: Opt
         raise ValueError("probcover needs delta: pass estimate_delta(...) of the train rows being labeled")
     pool, is_labeled = _train_pool(labeled, unlabeled)
     state = _ball_state(_rows(features, pool), pool, delta)
-    return _greedy_cover(state, is_labeled, min(b, len(unlabeled)))
+    return _greedy_cover(state, is_labeled, _budget(b, unlabeled))
 
 
 def dropquery(
@@ -502,7 +503,7 @@ def dropquery(
     leftovers.
     """
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
-    b_eff = min(b, len(unlabeled))
+    b_eff = _budget(b, unlabeled)
     if b_eff == 0:
         return QueryResult(np.empty(0, dtype=np.int64), candidate_fraction=0.0)
     U = _rows(features, unlabeled)
@@ -642,10 +643,8 @@ def query(
     ``state`` is ``prepare``'s result over the train pool labeled | unlabeled;
     probcover needs it.
     """
-    if b < 0:
-        raise ValueError(f"b must be >= 0, got {b}")
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
-    b_eff = min(b, len(unlabeled))
+    b_eff = _budget(b, unlabeled)
     if b_eff == 0:
         return QueryResult(np.empty(0, dtype=np.int64))
     r = _Round(features, clf, labeled, labeled_labels, unlabeled, b_eff, seed, state)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -193,3 +195,19 @@ def test_features_are_a_read_only_view_of_a_writable_caller_array():
     with pytest.raises(ValueError, match="read-only"):
         ds.features[0, 0] = 1.0
     feats[0, 0] = 1.0  # the caller's own array stays writable
+
+
+@pytest.mark.parametrize("name", ["features", "labels", "num_classes", "train_indices", "test_indices"])
+def test_fields_cannot_be_reassigned(name):
+    ds = tiny_dataset()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ds, name, getattr(ds, name))
+
+
+def test_dataset_keys_a_weak_dictionary_by_identity():
+    first, second = tiny_dataset(), tiny_dataset()
+    cache = weakref.WeakKeyDictionary()
+    cache[first], cache[second] = "first", "second"
+    assert len(cache) == 2 and cache[first] == "first" and cache[second] == "second"
+    del first
+    assert list(cache.values()) == ["second"]

@@ -98,3 +98,16 @@ def test_centroid_init_picks_the_same_on_float32_features_as_on_their_float64_ca
         assert centroid_init(f32, train, b, seed=2).tolist() == centroid_init(
             f32.astype(np.float64), train, b, seed=2
         ).tolist()
+
+
+@pytest.mark.parametrize("init", ["random", "centroid"])
+def test_negative_budget_rejected(init):
+    feats = np.random.default_rng(5).normal(size=(17, 3))
+    train = np.arange(17)
+    pick = {
+        "random": lambda b: random_init(train, b, seed=1),
+        "centroid": lambda b: centroid_init(feats, train, b, seed=1),
+    }[init]
+    with pytest.raises(ValueError, match="b must be >= 0, got -2"):
+        pick(-2)
+    assert sorted(pick(30).tolist()) == train.tolist()

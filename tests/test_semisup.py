@@ -56,6 +56,35 @@ class TestBuildKnnGraph:
         assert np.all(build_knn_graph(feats, k=3).diagonal() == 0)
 
 
+@pytest.fixture(scope="module")
+def semisup_grid_graph():
+    """build_knn_graph over the semisup-grid benchmark's train rows (3,200 x 64)
+    at k = 500, and its peak traced allocation in bytes."""
+    ds = generate_synthetic(20, 200, 64, 8.0, 1)
+    feats = ds.features[ds.train_indices]
+    tracemalloc.start()
+    try:
+        graph = build_knn_graph(feats, k=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return graph, peak
+
+
+def test_graph_build_holds_w_its_transpose_and_the_result(semisup_grid_graph):
+    # W and W^T hold 18.3 MiB each and the symmetrized result's buffers
+    # 36.6 MiB before they are cut to the graph's 24.5 MiB
+    graph, peak = semisup_grid_graph
+    assert peak < 85 * 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_graph_arrays_own_exactly_nnz_entries(semisup_grid_graph):
+    graph, _ = semisup_grid_graph
+    for arr in (graph.data, graph.indices):
+        assert arr.size == graph.nnz
+        assert arr.base is None or arr.base.size == graph.nnz
+
+
 def two_cluster_graph():
     rng = np.random.default_rng(3)
     blob_a = rng.normal(size=(3, 2)) * 0.1

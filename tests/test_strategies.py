@@ -841,6 +841,17 @@ def test_standalone_queries_pick_nothing_at_b_0_or_from_an_empty_pool(name, pool
     assert picks.dtype == np.int64 and picks.shape == (0,)
 
 
+@pytest.mark.parametrize("name", sorted(STANDALONE_QUERIES))
+def test_standalone_query_rejects_a_negative_budget(name):
+    rng = np.random.default_rng(34)
+    feats = rng.normal(size=(20, 3))
+    clf = LinearClassifier(rng.normal(size=(3, 3)), rng.normal(size=3), dropout_rho=0.5)
+    call = STANDALONE_QUERIES[name]
+    with pytest.raises(ValueError, match="b must be >= 0, got -2"):
+        call(feats, clf, np.array([0, 1, 2]), np.arange(3, 20), -2)
+    assert len(call(feats, clf, np.array([0, 1, 2]), np.arange(3, 20), 30)) == 17
+
+
 def test_diversified_variants_also_budget_exact():
     rng = np.random.default_rng(27)
     feats = rng.normal(size=(40, 4))
