@@ -130,6 +130,13 @@ def _read_records(path: Path):
     records = list(by_cell.values())
     for rec in records:
         rec.rows.sort(key=lambda r: r.iteration)
+        # win_fraction reads iterations 1..N of every cell
+        for expected, row in enumerate(rec.rows, start=1):
+            if row.iteration != expected:
+                raise ValueError(
+                    f"{path}: strategy {rec.strategy!r}, seed {rec.seed}, iteration {row.iteration}: "
+                    f"expected iterations 1..{len(rec.rows)}, each once"
+                )
     return records
 
 

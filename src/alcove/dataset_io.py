@@ -73,10 +73,17 @@ class EmbeddingDataset:
             raise ValueError("train/test indices overlap or contain duplicates")
         if len(union) != n or (n and (union.min() != 0 or union.max() != n - 1)):
             raise ValueError("train/test indices must cover [0, n) exactly")
-        train_classes = set(self.labels[self.train_indices].tolist())
-        missing = set(range(self.num_classes)) - train_classes
-        if missing:
-            raise ValueError(f"classes absent from the train split: {sorted(missing)}")
+        if self.num_classes > len(self.train_indices):
+            raise ValueError(
+                f"num_classes={self.num_classes} exceeds the {len(self.train_indices)} train points, "
+                "and every class must appear in the train split"
+            )
+        missing = np.setdiff1d(np.arange(self.num_classes), self.labels[self.train_indices])
+        if missing.size:
+            more = " ..." if missing.size > 10 else ""
+            raise ValueError(
+                f"{missing.size} classes absent from the train split: {missing[:10].tolist()}{more}"
+            )
 
 
 def load_dataset(manifest_path) -> EmbeddingDataset:
@@ -98,6 +105,9 @@ def load_dataset(manifest_path) -> EmbeddingDataset:
     for key in ("n", "d"):
         if manifest[key] < 1:
             raise ValueError(f"{manifest_path}: {key!r} must be at least 1, got {manifest[key]!r}")
+    for key in ("features", "labels", "train_indices", "test_indices"):
+        if not isinstance(manifest[key], str):
+            raise ValueError(f"{manifest_path}: {key!r} must be a file name, got {manifest[key]!r}")
 
     n, d, num_classes = manifest["n"], manifest["d"], manifest["num_classes"]
     if manifest["dtype"] != "f32le":

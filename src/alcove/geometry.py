@@ -5,10 +5,11 @@ ties everywhere break toward the smaller index, and any randomness flows
 through an explicit seed or Generator.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 KMEANS_MAX_ITERS = 100
 
@@ -142,6 +143,8 @@ def _ball_graph(points: np.ndarray, radius: float) -> sp.csr_matrix:
     Each row is tested on its own distances, so the graph need not be
     symmetric.
     """
+    import scipy.sparse as sp
+
     m = points.shape[0]
     r2 = radius * radius
     indptr = np.zeros(m + 1, dtype=np.int64)
@@ -215,6 +218,8 @@ def _cluster_sums(points: np.ndarray, assignments: np.ndarray, counts: np.ndarra
     CSR-dense kernel zero-fills each output row and adds its columns in
     stored order, so the sums equal np.add.at's bit for bit.
     """
+    import scipy.sparse as sp
+
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     members = np.argsort(assignments, kind="stable")

@@ -11,10 +11,11 @@ w_i = 1 - H(z_i)/log(C) for weighting samples during classifier training.
 Entropies are in nats; the ratio is base-invariant anyway.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import geometry
 from .geometry import _knn_blocks, _sq_norms
@@ -42,6 +43,8 @@ def _knn_weights(features: np.ndarray, k: int) -> sp.csr_matrix:
     The float64 features and unit rows are freed when this returns, before
     build_knn_graph symmetrizes W.
     """
+    import scipy.sparse as sp
+
     X = np.asarray(features, dtype=np.float64)
     n = X.shape[0]
     unit = X / np.maximum(np.sqrt(_sq_norms(X)), 1e-12)[:, None]
@@ -72,6 +75,8 @@ def build_knn_graph(features: np.ndarray, k: int = 500) -> sp.csr_matrix:
     graph W, its transpose and the result, about three times the result's
     bytes; the returned arrays have the result's exact size.
     """
+    import scipy.sparse as sp
+
     n = np.shape(features)[0]
     k = min(k, n - 1)
     if k < 1:
@@ -105,6 +110,8 @@ def label_propagate(s_matrix, labels_onehot: np.ndarray, alpha: float = 0.9) -> 
     renormalized (all-zero rows become uniform), and weights are 1 - H/log(C).
     A non-finite entry in S or Y raises ValueError before any product.
     """
+    import scipy.sparse as sp
+
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must be in [0, 1)")
     Y = np.asarray(labels_onehot, dtype=np.float64)

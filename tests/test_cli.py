@@ -290,6 +290,20 @@ class TestStats:
         assert capsys.readouterr().err.startswith(message.format(path))
         assert not out.exists()
 
+    @pytest.mark.parametrize("iterations, first_bad", [((0, 1, 2), 0), ((1, 3), 3)], ids=["from-zero", "skipped"])
+    def test_iterations_other_than_one_to_n_name_the_cell(self, tmp_path, capsys, iterations, first_bad):
+        path = tmp_path / "records.csv"
+        rows = [f"{kind},{seed},{t},{3 * t},0.5," for kind in ("margins", "random")
+                for seed in (1, 2, 3, 4, 5) for t in iterations]
+        path.write_text("\n".join(["strategy,seed,iteration,labeled,accuracy,candidate_fraction"] + rows) + "\n")
+        out = tmp_path / "wm"
+        assert run_cli("stats", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: strategy 'margins', seed 1, iteration {first_bad}: "
+            f"expected iterations 1..{len(iterations)}, each once\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "contents, message",
         [(None, "error: results file not found: {}\n"),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -110,6 +111,52 @@ def test_unparseable_json_named_with_file_and_key(tmp_path, capsys, file, match)
     assert main(["bench", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("features", 3), ("labels", None), ("train_indices", ["train.json"]), ("test_indices", {"a": 1})],
+)
+def test_file_keys_that_are_not_strings_named_with_file_and_key(tmp_path, capsys, key, value):
+    save_dataset(tiny_dataset(), tmp_path / "ds")
+    path = tmp_path / "ds" / "dataset.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    with pytest.raises(ValueError, match=f"dataset.json: '{key}' must be a file name, got "):
+        load_dataset(tmp_path / "ds")
+    assert main(["bench", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_num_classes_above_the_train_points_rejected_before_building(tmp_path, capsys):
+    save_dataset(tiny_dataset(), tmp_path / "ds")
+    path = tmp_path / "ds" / "dataset.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "num_classes": 10**6}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="num_classes=1000000 exceeds the 4 train points"):
+            load_dataset(tmp_path / "ds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert main(["bench", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: num_classes=1000000") and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "num_classes, message",
+    [(4, "2 classes absent from the train split: [2, 3]"),
+     (25, "23 classes absent from the train split: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] ...")],
+    ids=["two", "many"],
+)
+def test_missing_classes_named_first_ten_with_their_count(num_classes, message):
+    ds = EmbeddingDataset(np.zeros((30, 2), dtype=np.float32), np.arange(30) % 2, num_classes,
+                          train_indices=np.arange(30))
+    with pytest.raises(ValueError) as exc:
+        ds.validate()
+    assert str(exc.value) == message
 
 
 def test_round_trip_bit_exact(tmp_path):
