@@ -16,8 +16,11 @@ import numpy as np
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# bytes of float32 dropout draws a batched fit holds at once
+# bytes of float32 draws whose dropout masks a batched fit draws at once; it
+# holds them as bool keep bits, a quarter of that
 MASK_BLOCK_BYTES = 4 << 20
+# raw 64-bit generator outputs a mask fill draws at a time (64 KiB)
+_RAW_PIECE = 8192
 
 
 class TrainingDiverged(RuntimeError):
@@ -50,6 +53,8 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.dropout_rho < 1.0:
             raise ValueError(f"dropout_rho must be in [0, 1), got {self.dropout_rho}")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -106,6 +111,48 @@ def train(
     return train_batch([features], [labels], num_classes, config, [seed], [sample_weights])[0]
 
 
+def _keep_cut(rho) -> int:
+    """The least 32-bit word x whose float32 draw (x >> 8) * 2**-24 is >= rho.
+
+    numpy draws a float32 that way from the next 32-bit word of the stream, so
+    ``draw >= rho`` holds exactly when ``x >= cut``. numpy itself compares the
+    draws next to rho against it, so the cut follows its casting of a Python,
+    np.float32 or np.float64 rho, under NEP 50 or value-based casting alike.
+    2**32 when no draw is kept (float32(rho) rounds to 1).
+    """
+    lo = int(rho * 2**24)
+    draws = (np.arange(lo, min(lo + 3, 2**24)) * 2.0**-24).astype(np.float32)
+    return (lo + int(np.count_nonzero(~np.greater_equal(draws, rho)))) << 8
+
+
+def _draw_keep(bitgen, cut: int, keep: np.ndarray, spare):
+    """Fill the flat bool ``keep`` with ``x >= cut`` for the stream's next keep.size words.
+
+    Each raw 64-bit output gives two words, its low half first, as numpy's
+    float32 draws take them. ``spare`` is the keep bit of a high half the
+    previous fill left unused (None: none); it fills the first word, and the
+    spare this fill leaves is returned.
+    """
+    words, at = keep.size, 0
+    if cut >> 32:
+        keep[...] = False
+        return spare
+    if spare is not None:
+        keep[0], at, spare = spare, 1, None
+    cut32 = np.uint32(cut)
+    while at < words:
+        raw = bitgen.random_raw(min(_RAW_PIECE, (words - at + 1) // 2))
+        # the outputs' little-endian bytes read as 32-bit words are each
+        # output's low half, then its high half, whatever the host's byte order
+        halves = raw.astype("<u8", copy=False).view("<u4")
+        take = min(len(halves), words - at)
+        np.greater_equal(halves[:take], cut32, out=keep[at : at + take])
+        if take < len(halves):
+            spare = bool(halves[-1] >= cut32)
+        at += take
+    return spare
+
+
 def _normalized_weights(sample_weights, n: int) -> np.ndarray:
     w = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
     if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -138,18 +185,26 @@ def train_batch(
     The epoch loop runs in float32: the features are scaled by 1/(1 - rho)
     in float64 and rounded once, and the parameters, AdamW moments, logits,
     probabilities, gradients and sample weights are float32. A feature
-    beyond float32's range therefore diverges at epoch 1. The loss check
-    runs in float64 on the label's probabilities, and the parameters are
-    cast to float64 once, at the end, so the returned heads are float64.
+    beyond float32's range therefore diverges at epoch 1. A softmax row is
+    NaN throughout or lies in [0, 1], so the weighted loss is non-finite
+    exactly when a label's probability is NaN, and that is what is checked.
+    The parameters are cast to float64 once, at the end, so the returned
+    heads are float64.
 
-    Cells with one seed share one mask stream. Each distinct seed's
-    default_rng draws into a shared float32 buffer, ``MASK_BLOCK_BYTES``
-    worth of epochs at a time, and each draw is compared against rho once
-    for all of its cells; one draw of E epochs gives the same masks as E
-    draws of one. The hot loop works on a parameter matrix per cell with
-    the bias folded in as a constant-1 column; the math matches the
-    reference loss and gradient ``cross_entropy_loss_and_grad`` in
-    ``tests/oracles.py``, and ``adamw_fit`` there runs the same loop.
+    Cells with one seed share one mask stream. An entry is kept where
+    default_rng(seed).random(dtype=np.float32) would draw >= rho: that draw
+    is (x >> 8) * 2**-24 for the stream's next 32-bit word x, so the masks
+    compare the bit generator's raw words against one integer cut instead,
+    bit for bit the same. Each distinct seed fills a bool block,
+    ``MASK_BLOCK_BYTES`` worth of float32 epochs at a time, in pieces of
+    ``_RAW_PIECE`` raw outputs, and each epoch's bits are cast into one
+    float32 mask that the cells' features are multiplied by. One fill of E
+    epochs gives the same masks as E fills of one.
+
+    The hot loop works on a parameter matrix per cell with the bias folded
+    in as a constant-1 column; the math matches the reference loss and
+    gradient ``cross_entropy_loss_and_grad`` in ``tests/oracles.py``, and
+    ``adamw_fit`` there runs the same loop.
     """
     X = np.asarray(features, dtype=np.float64)
     Y = np.asarray(labels, dtype=np.int64)
@@ -171,11 +226,12 @@ def train_batch(
     # stream[k]: the index of cell k's seed among the distinct seeds, in first-seen order
     first = {}
     stream = np.array([first.setdefault(seed, len(first)) for seed in seeds])
-    rngs = [np.random.default_rng(seed) for seed in first]
+    bitgens = [np.random.default_rng(seed).bit_generator for seed in first]
+    spares = [None] * len(bitgens)
+    cut = _keep_cut(rho)
     # one stream's (n, d) mask broadcasts over every cell, one stream per cell is
     # a view, and only a mix is gathered cell by cell
-    at = 0 if len(rngs) == 1 else slice(None) if len(rngs) == k_cells else stream
-    tiny = np.finfo(np.float64).tiny
+    at = 0 if len(bitgens) == 1 else slice(None) if len(bitgens) == k_cells else stream
 
     # the loop runs in float32; every scalar enters as np.float32, so that no
     # operand upcasts it, under value-based casting or NEP 50 alike
@@ -189,37 +245,55 @@ def train_batch(
     lr, lr_wd = f32(config.learning_rate), f32(config.learning_rate * config.weight_decay)
     beta1, beta2, eps = f32(ADAM_BETA1), f32(ADAM_BETA2), f32(ADAM_EPS)
     one_minus_beta1, one_minus_beta2 = f32(1.0 - ADAM_BETA1), f32(1.0 - ADAM_BETA2)
-    block = min(config.epochs, max(1, MASK_BLOCK_BYTES // max(1, 4 * len(rngs) * n * d)))
-    buf = np.empty((len(rngs), block, n, d), dtype=np.float32)
-    keep = np.empty(buf.shape, dtype=bool)
+    step, scratch = np.empty_like(params), np.empty_like(params)
+    block = min(config.epochs, max(1, MASK_BLOCK_BYTES // max(1, 4 * len(bitgens) * n * d)))
+    keep = np.empty((len(bitgens), block, n, d), dtype=bool)
+    # one epoch's keep bits of every cell, (n, d) or (K, n, d), as float32
+    mask = np.empty(keep[at, 0].shape, dtype=f32)
     # flat position of each row's label in the (K, n, C) probability stack
     hit = np.arange(k_cells * n).reshape(k_cells, n) * num_classes + Y
+    hit_probs = np.empty(hit.shape, dtype=f32)
 
     for epoch in range(1, config.epochs + 1):
         e = (epoch - 1) % block
         if e == 0:
-            for rng, out in zip(rngs, buf):
-                rng.random(dtype=np.float32, out=out[: min(block, config.epochs - epoch + 1)])
-            np.greater_equal(buf, rho, out=keep)
-        np.multiply(X_scaled, keep[at, e], out=aug[:, :, :d])
+            count = min(block, config.epochs - epoch + 1)
+            for s, bitgen in enumerate(bitgens):
+                spares[s] = _draw_keep(bitgen, cut, keep[s, :count].reshape(-1), spares[s])
+        np.copyto(mask, keep[at, e])
+        np.multiply(X_scaled, mask, out=aug[:, :, :d])
         probs = _softmax(aug @ params.transpose(0, 2, 1))
+        # a softmax row is NaN throughout or lies in [0, 1], so the weighted
+        # loss is non-finite exactly when a label's probability is NaN
         flat = probs.reshape(-1)
-        hit_probs = flat[hit].astype(np.float64)
-        loss = -np.einsum("kn,kn->k", wn, np.log(np.maximum(hit_probs, tiny)))
-        if not np.all(np.isfinite(loss)):
+        np.take(flat, hit, out=hit_probs)
+        if np.isnan(hit_probs).any():
             raise TrainingDiverged(epoch)
 
-        flat[hit] -= f32(1.0)
+        hit_probs -= f32(1.0)
+        flat[hit] = hit_probs
         probs *= wn32[:, :, None]
         grad = probs.transpose(0, 2, 1) @ aug
+        # AdamW in preallocated buffers, each operation in the order of
+        # m = beta1 * m + (1 - beta1) * grad and v = beta2 * v + (1 - beta2) * grad * grad
         m *= beta1
-        m += one_minus_beta1 * grad
+        np.multiply(grad, one_minus_beta1, out=scratch)
+        m += scratch
         v *= beta2
-        v += one_minus_beta2 * grad * grad
-        step = (m / f32(1.0 - ADAM_BETA1**epoch)) / (
-            np.sqrt(v / f32(1.0 - ADAM_BETA2**epoch)) + eps
-        )
-        params -= lr * step + lr_wd * params
+        np.multiply(grad, one_minus_beta2, out=scratch)
+        scratch *= grad
+        v += scratch
+        # step = (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+        np.divide(v, f32(1.0 - ADAM_BETA2**epoch), out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        np.divide(m, f32(1.0 - ADAM_BETA1**epoch), out=step)
+        step /= scratch
+        # params -= lr * step + lr_wd * params
+        step *= lr
+        np.multiply(params, lr_wd, out=scratch)
+        step += scratch
+        params -= step
 
     params = params.astype(np.float64)
     if not np.all(np.isfinite(params)):
@@ -258,11 +332,13 @@ def mc_dropout_passes(
     one random((samples, n, d)) draw. Every pass draws into, masks and scales
     one reused n x d buffer, so iterating holds n*d floats plus the current
     pass. rho=0 keeps every entry, reproducing predict_proba exactly. Bad
-    features or a bad ratio raise here, before any pass.
+    features, a bad ratio or ``samples`` < 1 raise here, before any pass.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != clf.dim:
         raise ValueError(f"expected features of width {clf.dim}, got shape {X.shape}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rho = clf.dropout_rho
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"the classifier's dropout_rho must be in [0, 1), got {rho}")

@@ -15,7 +15,7 @@ from pathlib import Path
 from .classifier import TrainConfig
 from .dataset_io import generate_synthetic, load_dataset, save_dataset
 from .harness import DEFAULT_SEEDS, INIT_MODES, RunConfig, RunRecord, IterationRow, run_bench
-from .stats import win_matrix, win_matrix_to_csv, win_matrix_to_json
+from .stats import check_iterations, win_matrix, win_matrix_to_csv, win_matrix_to_json
 from .strategies import STRATEGY_KINDS, QuerySpec
 
 SCHEMA_VERSION = 1
@@ -130,13 +130,10 @@ def _read_records(path: Path):
     records = list(by_cell.values())
     for rec in records:
         rec.rows.sort(key=lambda r: r.iteration)
-        # win_fraction reads iterations 1..N of every cell
-        for expected, row in enumerate(rec.rows, start=1):
-            if row.iteration != expected:
-                raise ValueError(
-                    f"{path}: strategy {rec.strategy!r}, seed {rec.seed}, iteration {row.iteration}: "
-                    f"expected iterations 1..{len(rec.rows)}, each once"
-                )
+        try:
+            check_iterations(rec)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return records
 
 

@@ -62,6 +62,19 @@ def _accuracy_table(records) -> dict:
     return table
 
 
+def check_iterations(record) -> None:
+    """ValueError unless ``record``'s rows hold iterations 1..N, each once,
+    naming its strategy, seed and first misplaced iteration; ``win_fraction``
+    reads iterations 1..N of every record."""
+    iterations = sorted(row.iteration for row in record.rows)
+    for expected, iteration in enumerate(iterations, start=1):
+        if iteration != expected:
+            raise ValueError(
+                f"strategy {record.strategy!r}, seed {record.seed}, iteration {iteration}: "
+                f"expected iterations 1..{len(iterations)}, each once"
+            )
+
+
 def win_fraction(records_i, records_j, iterations: int) -> float:
     """Fraction of the first ``iterations`` rounds where i significantly beats j."""
     acc_i = _accuracy_table(records_i)
@@ -83,7 +96,8 @@ def win_matrix(records_by_dataset: dict) -> WinMatrix:
     ``records_by_dataset`` maps a dataset name to that setting's RunRecords
     (all strategies, all seeds). Strategy ids are ordered alphabetically;
     iterations per dataset truncate to the shortest record. A dataset with
-    no records, or a record with no rows, is a ValueError naming it.
+    no records, or a record with no rows or with iterations other than
+    1..N, is a ValueError naming it.
     """
     names = sorted(records_by_dataset)
     strategies = sorted({rec.strategy for recs in records_by_dataset.values() for rec in recs})
@@ -99,6 +113,10 @@ def win_matrix(records_by_dataset: dict) -> WinMatrix:
                 raise ValueError(
                     f"dataset {name!r}: strategy {rec.strategy!r}, seed {rec.seed} has no rows"
                 )
+            try:
+                check_iterations(rec)
+            except ValueError as exc:
+                raise ValueError(f"dataset {name!r}: {exc}") from None
         grouped = {sid: [r for r in recs if r.strategy == sid] for sid in strategies}
         seed_sets = {sid: sorted(r.seed for r in g) for sid, g in grouped.items() if g}
         distinct = {tuple(v) for v in seed_sets.values()}

@@ -250,20 +250,83 @@ def test_cells_of_one_seed_draw_each_mask_block_once(monkeypatch, block_bytes, d
     class CountingRng:
         def __init__(self, seed):
             made.append(seed)
-            self.rng = default_rng(seed)
+            self.bit_generator = self
+            self.raw = default_rng(seed).bit_generator.random_raw
 
-        def random(self, *args, **kwargs):
-            calls.append(kwargs["out"].shape)
-            return self.rng.random(*args, **kwargs)
+        def random_raw(self, size):
+            calls.append(size)
+            return self.raw(size)
 
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
     config = TrainConfig(epochs=50)
     batch = train_batch(X, Y, 3, config, [7] * 12, weights)
     assert made == [7]
     assert len(calls) == draws
-    assert sum(shape[0] for shape in calls) == config.epochs
+    # two float32 words per raw output: each epoch's 15 x 4 mask is drawn once,
+    # and no draw holds more than a block of epochs
+    assert 2 * sum(calls) == config.epochs * 15 * 4
+    epochs_per_block = max(1, block_bytes // (4 * 15 * 4))
+    assert all(2 * size <= epochs_per_block * 15 * 4 for size in calls)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     _assert_equals_solo_fits(batch, X, Y, 3, config, [7] * 12, weights, range(12))
+
+
+# 1 - 2**-26 rounds to 1.0 in float32, where no draw is kept; 0.75 +- 2**-30
+# round to 0.75 in float32 but not in float64
+KEEP_RATIOS = [0, 0.1, 0.3, 0.75, 0.9, 1 - 2**-26, 0.75 + 2**-30, 0.75 - 2**-30]
+
+
+@pytest.mark.parametrize("kind", [float, np.float32, np.float64])
+@pytest.mark.parametrize("rho", KEEP_RATIOS)
+def test_raw_word_keep_stream_equals_the_float32_draws_bitwise(rho, kind):
+    # one raw piece is 16,384 words: odd fills leave a spare high half that
+    # the next fill takes first, and the longer fills span several pieces
+    rho = kind(rho)
+    fills = [1, 16383, 16384, 16385, 3 * 16384 + 1]
+    expected = np.random.default_rng(23).random(sum(fills), dtype=np.float32) >= rho
+    bitgen = np.random.default_rng(23).bit_generator
+    cut = classifier._keep_cut(rho)
+    keeps, spare = [], None
+    for size in fills:
+        keep = np.empty(size, dtype=bool)
+        spare = classifier._draw_keep(bitgen, cut, keep, spare)
+        keeps.append(keep)
+    assert np.array_equal(np.concatenate(keeps), expected)
+
+
+@pytest.mark.parametrize("kind", [float, np.float32, np.float64])
+@pytest.mark.parametrize("offset", [-(2**-30), 0.0, 2**-30])
+def test_a_ratio_at_a_drawn_value_keeps_what_numpy_compares(kind, offset):
+    # rho within 2**-30 of a draw in [0.5, 1): float32(rho) is the draw itself,
+    # so whether it is kept depends on numpy's casting of rho, which the cut follows
+    draws = np.random.default_rng(31).random(1001, dtype=np.float32)
+    at = int(np.argmax(draws >= 0.5))
+    rho = kind(float(draws[at]) + offset)
+    keep = np.empty(draws.size, dtype=bool)
+    bitgen = np.random.default_rng(31).bit_generator
+    classifier._draw_keep(bitgen, classifier._keep_cut(rho), keep, None)
+    assert np.array_equal(keep, draws >= rho)
+
+
+@pytest.mark.parametrize("streams", ["one", "mixed"])
+@pytest.mark.parametrize("block_epochs", [1, 7, 51])
+@pytest.mark.parametrize("raw_piece", [classifier._RAW_PIECE, 5])
+def test_train_batch_equals_the_reference_at_odd_sizes(monkeypatch, streams, block_epochs, raw_piece):
+    # 13 x 5 = 65 words an epoch: blocks of 1 and 7 epochs and the one block of
+    # all 51 hold odd word counts, so the spare half crosses fills, and pieces
+    # of 5 raw outputs cross each fill several times
+    n, d, k_cells = 13, 5, 4
+    X, Y, (a, b, *_), weights = _cells(np.random.default_rng(24), k_cells, n, d, 3)
+    seeds = [a] * k_cells if streams == "one" else [a, b, b, a]
+    distinct = len(set(seeds))
+    monkeypatch.setattr(classifier, "MASK_BLOCK_BYTES", 4 * distinct * n * d * block_epochs)
+    monkeypatch.setattr(classifier, "_RAW_PIECE", raw_piece)
+    config = TrainConfig(epochs=51)
+    batch = train_batch(X, Y, 3, config, seeds, weights)
+    for k in range(k_cells):
+        ref_w, ref_b = adamw_fit(X[k], Y[k], 3, config, seeds[k], weights[k])
+        assert batch[k].weights.tobytes() == ref_w.tobytes()
+        assert batch[k].bias.tobytes() == ref_b.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -372,6 +435,21 @@ def test_epochs_below_one_rejected(epochs):
         TrainConfig(epochs=epochs)
 
 
+@pytest.mark.parametrize("epochs", [2.5, 3.0, np.float64(4.0), "5", True, np.bool_(True), None])
+def test_non_integral_epochs_rejected(epochs):
+    with pytest.raises(ValueError, match="epochs must be an integer, got"):
+        TrainConfig(epochs=epochs)
+
+
+@pytest.mark.parametrize("epochs", [3, np.int64(3), np.uint8(3)])
+def test_integer_epochs_of_any_integer_type_train_alike(epochs):
+    X, Y, seeds, _ = _cells(np.random.default_rng(25), 1, 9, 3, 2)
+    head = train(X[0], Y[0], 2, TrainConfig(epochs=epochs), seeds[0])
+    ref_w, ref_b = adamw_fit(X[0], Y[0], 2, TrainConfig(epochs=3), seeds[0])
+    assert head.weights.tobytes() == ref_w.tobytes()
+    assert head.bias.tobytes() == ref_b.tobytes()
+
+
 @pytest.mark.parametrize("lr", [0.0, -0.01, float("nan"), float("inf")])
 def test_learning_rate_not_finite_and_positive_rejected(lr):
     with pytest.raises(ValueError, match="learning_rate"):
@@ -409,6 +487,14 @@ class TestMcDropout:
         # the stream checks on the call, before any pass is drawn
         with pytest.raises(ValueError, match="dropout_rho"):
             mc_dropout_passes(clf, np.eye(2), 2, seed=0)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_fewer_than_one_sample_rejected(self, samples):
+        clf = LinearClassifier(weights=np.eye(2), bias=np.zeros(2))
+        with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+            mc_dropout_proba(clf, np.eye(2), samples, seed=0)
+        with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+            mc_dropout_passes(clf, np.eye(2), samples, seed=0)
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(5)

@@ -158,6 +158,18 @@ class TestWinMatrix:
         with pytest.raises(ValueError, match="dataset 'b': no records"):
             win_matrix({"a": self.two_strategy_dataset(), "b": []})
 
+    @pytest.mark.parametrize("iterations, first_bad", [((0, 1, 2), 0), ((1, 3), 3), ((1, 2, 2), 2)])
+    def test_iterations_other_than_one_to_n_name_the_record(self, iterations, first_bad):
+        recs = self.two_strategy_dataset()
+        for rec in recs[5:]:
+            rec.rows = [IterationRow(iteration=t, labeled_count=t, accuracy=0.5) for t in iterations]
+        with pytest.raises(ValueError) as err:
+            win_matrix({"ds": recs})
+        assert str(err.value) == (
+            f"dataset 'ds': strategy '{recs[5].strategy}', seed {recs[5].seed}, "
+            f"iteration {first_bad}: expected iterations 1..{len(iterations)}, each once"
+        )
+
     def test_record_without_rows_rejected(self):
         recs = self.two_strategy_dataset() + make_records("empty", {s: [] for s in (1, 2, 3, 4, 5)})
         with pytest.raises(ValueError, match="dataset 'ds': strategy 'empty', seed 1 has no rows"):
