@@ -31,6 +31,13 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an int or a numpy
+    integer; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for the linear head.
@@ -53,8 +60,7 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.dropout_rho < 1.0:
             raise ValueError(f"dropout_rho must be in [0, 1), got {self.dropout_rho}")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
-            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
+        check_integer("epochs", self.epochs)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 

@@ -31,7 +31,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .classifier import LinearClassifier, TrainConfig, evaluate, train, train_batch, zero_classifier
+from .classifier import (
+    LinearClassifier,
+    TrainConfig,
+    check_integer,
+    evaluate,
+    train,
+    train_batch,
+    zero_classifier,
+)
 from .dataset_io import EmbeddingDataset
 from .initpool import centroid_init, random_init
 from .rng import derive_seed
@@ -54,8 +62,11 @@ class RunConfig:
     semisupervised: bool = False
 
     def __post_init__(self):
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"budget must be None or >= 1, got {self.budget}")
+        if self.budget is not None:
+            check_integer("budget", self.budget)
+            if self.budget < 1:
+                raise ValueError(f"budget must be None or >= 1, got {self.budget}")
+        check_integer("iterations", self.iterations)
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.init not in INIT_MODES:

@@ -2,12 +2,14 @@
 
 import numpy as np
 
+from .classifier import check_integer
 from .geometry import _rows, kmeans, nearest_to_centroids
 
 
 def _budget(b: int, pool) -> int:
     """min(b, len(pool)), the number of picks a budget of b allows from ``pool``;
-    a negative b raises ValueError."""
+    a b that is negative or not an integer raises ValueError."""
+    check_integer("b", b)
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
     return min(b, len(pool))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .classifier import check_integer
 from .geometry import _knn_blocks, _sq_norms
 from .strategies import score_entropy
 
@@ -38,25 +39,29 @@ def _knn_weights(features: np.ndarray, k: int) -> sp.csr_matrix:
     columns of point i's k nearest neighbours in ascending order, weighted by
     max(0, cosine similarity)^3, with a self edge weighted 0.
 
-    The similarities are gathered about geometry.BLOCK_BYTES of neighbour
-    features at a time, so no (n*k) x d copy of the features is ever built.
-    The float64 features and unit rows are freed when this returns, before
-    build_knn_graph symmetrizes W.
+    The neighbours are found first, over a float64 copy of the features;
+    that copy is then divided into unit rows in place, and the similarities
+    gathered over the same row blocks, about geometry.BLOCK_BYTES of
+    neighbour features at a time. So one n x d float64 array is held, no
+    (n*k) x d copy is built, and the caller's features are left unchanged.
     """
     import scipy.sparse as sp
 
-    X = np.asarray(features, dtype=np.float64)
+    X = np.array(features, dtype=np.float64)
     n = X.shape[0]
-    unit = X / np.maximum(np.sqrt(_sq_norms(X)), 1e-12)[:, None]
     cols = np.empty((n, k), dtype=np.int32)  # 2**31 points would not fit in memory
-    sims = np.empty((n, k))
-    step = max(1, geometry.BLOCK_BYTES // max(1, 8 * k * X.shape[1]))
+    blocks = []
     for rows, order, _ in _knn_blocks(X, k):
         order.sort(axis=1)
         cols[rows] = order
+        blocks.append(rows)
+    X /= np.maximum(np.sqrt(_sq_norms(X)), 1e-12)[:, None]
+    sims = np.empty((n, k))
+    step = max(1, geometry.BLOCK_BYTES // max(1, 8 * k * X.shape[1]))
+    for rows in blocks:
         for start in range(rows.start, rows.stop, step):
             block = slice(start, min(start + step, rows.stop))
-            sims[block] = np.einsum("ij,ikj->ik", unit[block], unit[cols[block]])
+            sims[block] = np.einsum("ij,ikj->ik", X[block], X[cols[block]])
     sims[cols == np.arange(n)[:, None]] = 0.0  # no self loops
     np.maximum(sims, 0.0, out=sims)
     np.power(sims, 3, out=sims)
@@ -68,32 +73,67 @@ def build_knn_graph(features: np.ndarray, k: int = 500) -> sp.csr_matrix:
 
     Edge weights are max(0, cosine similarity)^3 over kNN edges, symmetrized
     by max, zero diagonal. k >= n clamps to n - 1; with fewer than two points
-    (or k < 1) the graph has no edges.
+    (or k < 1) the graph has no edges. A k that is not an integer raises
+    ValueError.
 
-    The neighbours come a row block at a time from knn's blocked distances,
-    so no n x n matrix is built. Beyond one block, the build holds the kNN
-    graph W, its transpose and the result, about three times the result's
-    bytes; the returned arrays have the result's exact size.
+    The neighbours come a row block at a time from geometry's blocked
+    distances, so no n x n matrix is built. A = max(W, W^T) is then built a
+    block of rows at a time into arrays of exactly nnz(A) entries, W is
+    dropped, and A is scaled in place. So beyond one block the build holds
+    the kNN graph W and the result, about 1.6-1.75 times the result's bytes.
     """
     import scipy.sparse as sp
 
+    check_integer("k", k)
     n = np.shape(features)[0]
     k = min(k, n - 1)
     if k < 1:
         return sp.csr_matrix((n, n))
     w = _knn_weights(features, k)
-    # the elementwise max stores only nonzero results, so edges of
-    # non-positive similarity drop out here; its arrays are views of buffers
-    # sized for nnz(W) + nnz(W^T), so the graph kept is an exact-size copy
-    a = w.maximum(w.T)
+    # a block of s rows holds about 4 s k entries of 12 bytes: its rows of W,
+    # its columns of W made rows, and the max's buffers for up to 2 s k
+    a = _max_with_transpose(w, max(1, geometry.BLOCK_BYTES // (4 * 12 * k)))
     del w
-    a = a.copy()
 
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
     a.data *= np.repeat(inv_sqrt, np.diff(a.indptr))
     a.data *= inv_sqrt[a.indices]
     return a
+
+
+def _max_with_transpose(w: sp.csr_matrix, step: int) -> sp.csr_matrix:
+    """w.maximum(w.T) with the same arrays, built ``step`` rows at a time.
+
+    Rows [r, r + step) of the max are w[r:r+step].maximum(w[:, r:r+step].T):
+    scipy merges each row on its own, so a block keeps the entries, their
+    order and the zeros dropped (edges of non-positive similarity) of the
+    whole-matrix max. A first pass counts each block's entries; a second
+    recomputes the blocks and copies them into exact-size arrays, so no
+    buffer sized for nnz(W) + nnz(W^T) and no copy of W^T is ever held.
+    """
+    import scipy.sparse as sp
+
+    n = w.shape[0]
+    blocks = [slice(r, min(r + step, n)) for r in range(0, n, step)]
+
+    def block(rows):
+        return w[rows].maximum(w[:, rows].T)
+
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for rows in blocks:
+        indptr[rows.start + 1 : rows.stop + 1] = np.diff(block(rows).indptr)
+    np.cumsum(indptr, out=indptr)
+    # scipy keeps int32 indices wherever their values fit
+    indptr = indptr.astype(np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64)
+    indices = np.empty(indptr[-1], dtype=indptr.dtype)
+    data = np.empty(indptr[-1], dtype=w.data.dtype)
+    for rows in blocks:
+        part = block(rows)
+        entries = slice(indptr[rows.start], indptr[rows.stop])
+        indices[entries] = part.indices
+        data[entries] = part.data
+    return sp.csr_matrix((data, indices, indptr), shape=w.shape)
 
 
 def label_propagate(s_matrix, labels_onehot: np.ndarray, alpha: float = 0.9) -> PropagationResult:

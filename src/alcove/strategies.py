@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .classifier import LinearClassifier, mc_dropout_passes, mc_dropout_proba, predict_proba
+from .classifier import LinearClassifier, check_integer, mc_dropout_passes, mc_dropout_proba, predict_proba
 from .geometry import (
     _ball_graph,
     _kmeanspp_from_dist,
@@ -73,6 +73,7 @@ class QuerySpec:
             raise ValueError(
                 f"unknown strategy kind {self.kind!r}; choose from {', '.join(STRATEGY_KINDS)}"
             )
+        check_integer("dq_m", self.dq_m)
         if self.dq_m < 1:
             raise ValueError(f"dq_m must be >= 1, got {self.dq_m}")
         if self.inference_dropout and not self.diversify:

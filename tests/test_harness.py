@@ -664,3 +664,20 @@ class TestRoundOneHeads:
         assert batches == [] and calls == {"train": 6}
         assert not bench.records and bench.failures == sorted(solo)
         assert harness.grid_inputs(ds).heads == {}
+
+
+@pytest.mark.parametrize("field", ["budget", "iterations"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_non_integral_counts_rejected_at_construction(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        RunConfig(strategy=QuerySpec("random"), **{field: value})
+
+
+def test_numpy_integer_counts_run_like_ints():
+    ds = small_dataset()
+    records = [
+        run_al(ds, RunConfig(QuerySpec("margins"), iterations=it, budget=b, train=fast_train()), seed=2)
+        for it, b in ((np.int64(2), np.int64(3)), (2, 3))
+    ]
+    assert astuple(records[0]) == astuple(records[1])
+    assert [row.labeled_count for row in records[0].rows] == [3, 6]

@@ -111,3 +111,17 @@ def test_negative_budget_rejected(init):
     with pytest.raises(ValueError, match="b must be >= 0, got -2"):
         pick(-2)
     assert sorted(pick(30).tolist()) == train.tolist()
+
+
+@pytest.mark.parametrize("init", ["random", "centroid"])
+def test_non_integral_budget_rejected(init):
+    feats = np.random.default_rng(5).normal(size=(17, 3))
+    train = np.arange(17)
+    pick = {
+        "random": lambda b: random_init(train, b, seed=1),
+        "centroid": lambda b: centroid_init(feats, train, b, seed=1),
+    }[init]
+    for b in (2.5, True):
+        with pytest.raises(ValueError, match=f"b must be an integer, got {b!r}"):
+            pick(b)
+    assert pick(np.int64(4)).tolist() == pick(4).tolist()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from alcove import geometry
 from alcove.dataset_io import generate_synthetic
 from alcove.semisup import build_knn_graph, label_propagate
 from oracles import knn_graph_by_gather, label_propagate_closed_form
@@ -83,6 +84,69 @@ def test_graph_arrays_own_exactly_nnz_entries(semisup_grid_graph):
     for arr in (graph.data, graph.indices):
         assert arr.size == graph.nnz
         assert arr.base is None or arr.base.size == graph.nnz
+
+
+def test_graph_build_holds_only_w_and_the_result(semisup_grid_graph):
+    # W holds 18.3 MiB and the graph 24.5 MiB; the rest is one block of the
+    # neighbour sweep or of the symmetrization, or one n x d copy of the rows
+    graph, peak = semisup_grid_graph
+    assert peak < 56 * 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("n, d, k", [(97, 5, 4), (300, 17, 30)])
+def test_blocked_build_matches_gather_reference(monkeypatch, n, d, k):
+    """Several blocks in both the neighbour sweep and the symmetrization,
+    whose last block holds one row, against the gather reference fed the
+    distances the sweep computed."""
+    pts = np.random.default_rng(37).normal(size=(n, d))
+    pts -= pts.mean(axis=0)  # negative cosines, so some edges drop out
+    sym_rows = next(s for s in range(3, n) if (n - 1) % s == 0)
+    monkeypatch.setattr(geometry, "BLOCK_BYTES", 4 * 12 * k * sym_rows)
+    monkeypatch.setattr(geometry, "BLOCK_MIN_ROWS", 2)
+    sweep, merged = [], []
+    row_blocks, maximum = geometry._row_blocks, sp.csr_matrix.maximum
+
+    def spy_row_blocks(points):
+        for rows, d2 in row_blocks(points):
+            sweep.append(d2)
+            yield rows, d2
+
+    def spy_maximum(self, other):
+        merged.append(self.shape[0])
+        return maximum(self, other)
+
+    monkeypatch.setattr(geometry, "_row_blocks", spy_row_blocks)
+    monkeypatch.setattr(sp.csr_matrix, "maximum", spy_maximum)
+    got = build_knn_graph(pts, k)
+    assert len(sweep) > 2
+    # the symmetrization's blocks, once per pass
+    blocks = merged[: len(merged) // 2]
+    assert merged == blocks * 2 and len(blocks) > 2 and blocks[-1] == 1 and sum(blocks) == n
+    want = knn_graph_by_gather(pts, k, np.vstack(sweep))
+    for attr in ("indptr", "indices", "data"):
+        got_arr, want_arr = getattr(got, attr), getattr(want, attr)
+        assert got_arr.dtype == want_arr.dtype and np.array_equal(got_arr, want_arr)
+
+
+def test_float64_features_left_unchanged():
+    feats = np.random.default_rng(38).normal(size=(60, 7)) * 3.0
+    before = feats.copy()
+    build_knn_graph(feats, k=10)
+    assert np.array_equal(feats, before)
+
+
+@pytest.mark.parametrize("k", [2.5, True])
+def test_non_integral_k_rejected(k):
+    feats = np.random.default_rng(39).normal(size=(12, 3))
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+        build_knn_graph(feats, k=k)
+
+
+def test_numpy_integer_k_accepted():
+    feats = np.random.default_rng(39).normal(size=(12, 3))
+    got, want = build_knn_graph(feats, k=np.int64(4)), build_knn_graph(feats, k=4)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 def two_cluster_graph():

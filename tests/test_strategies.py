@@ -1012,3 +1012,33 @@ def test_a_query_gathers_only_the_rows_it_uses(kind):
         tracemalloc.stop()
     # below even a float32 copy of the matrix, half of the float64 one a whole-matrix cast makes
     assert peak < n * d * 4, f"{kind} peaked at {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("name", sorted(STANDALONE_QUERIES))
+def test_standalone_query_rejects_a_non_integral_budget(name):
+    rng = np.random.default_rng(34)
+    feats = rng.normal(size=(20, 3))
+    clf = LinearClassifier(rng.normal(size=(3, 3)), rng.normal(size=3), dropout_rho=0.5)
+    call = STANDALONE_QUERIES[name]
+    for b in (2.5, True):
+        with pytest.raises(ValueError, match=f"b must be an integer, got {b!r}"):
+            call(feats, clf, np.array([0, 1, 2]), np.arange(3, 20), b)
+    assert len(call(feats, clf, np.array([0, 1, 2]), np.arange(3, 20), np.int64(4))) == 4
+
+
+@pytest.mark.parametrize("dq_m", [2.5, True])
+def test_non_integral_dq_m_rejected(dq_m):
+    with pytest.raises(ValueError, match=f"dq_m must be an integer, got {dq_m!r}"):
+        QuerySpec("dropquery", dq_m=dq_m)
+
+
+def test_numpy_integer_dq_m_accepted():
+    rng = np.random.default_rng(36)
+    feats = rng.normal(size=(30, 4))
+    clf = random_clf(rng, 3, 4)
+    unlabeled = np.arange(2, 30)
+    picks = [
+        query(QuerySpec("dropquery", dq_m=m), feats, clf, [0, 1], [0, 1], unlabeled, 4, seed=5).selected
+        for m in (np.int64(2), 2)
+    ]
+    assert picks[0].tolist() == picks[1].tolist()
