@@ -338,11 +338,13 @@ def mc_dropout_passes(
     one random((samples, n, d)) draw. Every pass draws into, masks and scales
     one reused n x d buffer, so iterating holds n*d floats plus the current
     pass. rho=0 keeps every entry, reproducing predict_proba exactly. Bad
-    features, a bad ratio or ``samples`` < 1 raise here, before any pass.
+    features, a bad ratio or a ``samples`` that is not an integer >= 1 raise
+    here, before any pass.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != clf.dim:
         raise ValueError(f"expected features of width {clf.dim}, got shape {X.shape}")
+    check_integer("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rho = clf.dropout_rho

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .classifier import check_integer
+
 KMEANS_MAX_ITERS = 100
 
 # Bytes of squared distances one row block of a points-vs-points kernel holds.
@@ -115,6 +117,7 @@ def knn(points: np.ndarray, k: int):
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
+    check_integer("k", k)
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
     if k >= m:
@@ -203,6 +206,7 @@ def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     """k-means++ seeding: first seed uniform, then D^2-weighted draws."""
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
+    check_integer("k", k)
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
     if k > m:
@@ -304,6 +308,9 @@ def greedy_k_center(points: np.ndarray, existing_centers, b: int) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
     existing = np.asarray(existing_centers, dtype=np.int64)
+    check_integer("b", b)
+    if b < 0:
+        raise ValueError(f"b must be >= 0, got {b}")
     if b > m - existing.size:
         raise ValueError(f"cannot pick b={b} new centers from {m - existing.size} candidates")
 

@@ -62,6 +62,10 @@ class RunConfig:
     semisupervised: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.strategy, QuerySpec):
+            raise ValueError(f"strategy must be a QuerySpec, got {self.strategy!r}")
+        if not isinstance(self.train, TrainConfig):
+            raise ValueError(f"train must be a TrainConfig, got {self.train!r}")
         if self.budget is not None:
             check_integer("budget", self.budget)
             if self.budget < 1:
@@ -73,10 +77,11 @@ class RunConfig:
             raise ValueError(f"unknown init mode {self.init!r} (expected {'|'.join(INIT_MODES)})")
 
 
-# the most bytes one batched fit of a grid round may hold; a cell's share is
-# taken as 32 bytes (four float64 copies) per value of its n x (d + 1 + C)
-# inputs. The fit's loop holds float32 copies, so this overestimates a cell;
-# the estimate is deliberately left as it is, so that batch grouping does not move.
+# the most bytes one batched fit of a grid round may hold, which bounds the
+# memory of one train_batch call; a cell's share is taken as 32 bytes (four
+# float64 copies) per value of its n x (d + 1 + C) inputs. The fit's loop
+# holds float32 copies, so this overestimates a cell. Grouping changes no
+# head: each batched head equals its solo fit bit for bit.
 FIT_BATCH_BYTES = 16 << 20
 
 

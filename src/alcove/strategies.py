@@ -32,6 +32,7 @@ from .geometry import (
 from .initpool import _budget, _pad, random_init
 from .rng import derive_rng, derive_seed
 
+# Fixed settings; the functions below read them at call time.
 # a diversified query clusters the top SHORTLIST_FACTOR * B scored points
 SHORTLIST_FACTOR = 50
 # MC dropout passes per bald and powerbald score (BALD, Gal et al. 2017)
@@ -211,14 +212,11 @@ def query_powerbald(
     bald_scores: np.ndarray,
     unlabeled: np.ndarray,
     b: int,
-    beta: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample B indices without replacement with probability ~ (score + 1e-12)^beta."""
-    if not (np.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"beta={beta} must be finite and >= 0")
+    """Sample B indices without replacement with probability ~ (score + 1e-12)^POWER_BETA."""
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
-    weights = (np.maximum(np.asarray(bald_scores, dtype=np.float64), 0.0) + 1e-12) ** beta
+    weights = (np.maximum(np.asarray(bald_scores, dtype=np.float64), 0.0) + 1e-12) ** POWER_BETA
     b_eff = _budget(b, unlabeled)
     picks = []
     alive = np.ones(len(unlabeled), dtype=bool)
@@ -302,16 +300,15 @@ def query_alfamix(
     labeled_labels,
     unlabeled,
     b: int,
-    eps_scale: float,
     seed: int,
 ) -> np.ndarray:
     """Interpolation-consistency query against per-class anchor means.
 
     For each unlabeled point and anchor, mixes by the d-dimensional first-order
     rule: alpha = eps * h / ||h|| with h = grad * (anchor - z) and
-    eps = eps_scale / sqrt(d), then flags points whose predicted label flips.
-    The rule approximates the original closed form; candidates are diversified
-    by k-means (seeded with ``seed``).
+    eps = ALFAMIX_EPS_SCALE / sqrt(d), then flags points whose predicted label
+    flips. The rule approximates the original closed form; candidates are
+    diversified by k-means (seeded with ``seed``).
     """
     labeled = np.asarray(labeled, dtype=np.int64)
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
@@ -322,7 +319,7 @@ def query_alfamix(
         )
     b_eff = _budget(b, unlabeled)
     U = _rows(features, unlabeled)
-    eps = eps_scale / np.sqrt(U.shape[1])
+    eps = ALFAMIX_EPS_SCALE / np.sqrt(U.shape[1])
     y_lab = np.asarray(labeled_labels, dtype=np.int64)
     anchors = np.stack([_rows(features, labeled[y_lab == c]).mean(axis=0) for c in np.unique(y_lab)])
 
@@ -345,26 +342,18 @@ def _typicality_all(features: np.ndarray, k: int) -> np.ndarray:
     return 1.0 / (dist.mean(axis=1) + 1e-12)
 
 
-def query_typiclust(
-    features: np.ndarray,
-    labeled,
-    unlabeled,
-    b: int,
-    max_clusters: int,
-    knn_k: int,
-    seed: int,
-) -> np.ndarray:
-    """Cluster the train pool and take unlabeled members round-robin over the
-    clusters ranked by labeled count asc, size desc, id asc: the densest of
-    each, then the second densest of each cluster with one left, and so on."""
-    if knn_k < 1:
-        raise ValueError(f"knn_k={knn_k} must be at least 1")
+def query_typiclust(features: np.ndarray, labeled, unlabeled, b: int, seed: int) -> np.ndarray:
+    """Cluster the train pool into at most TYPICLUST_MAX_CLUSTERS clusters and
+    take unlabeled members round-robin over them, ranked by labeled count asc,
+    size desc, id asc: the densest of each, then the second densest of each
+    cluster with one left, and so on. Density is typicality over a member's
+    TYPICLUST_KNN nearest others in its cluster."""
     b_eff = _budget(b, unlabeled)
     if b_eff == 0:
         return np.empty(0, dtype=np.int64)
     pool, is_labeled = _train_pool(labeled, unlabeled)
     X = _rows(features, pool)
-    k = min(len(labeled) + b_eff, max_clusters, len(pool))
+    k = min(len(labeled) + b_eff, TYPICLUST_MAX_CLUSTERS, len(pool))
     cl = kmeans(X, k, seed)
 
     sizes = np.bincount(cl.assignments, minlength=k)
@@ -379,7 +368,7 @@ def query_typiclust(
         cand = members[~is_labeled[members]]
         if cand.size == 0:
             continue
-        typ = _typicality_all(X[members], min(knn_k, len(members) - 1))
+        typ = _typicality_all(X[members], min(TYPICLUST_KNN, len(members) - 1))
         cand_typ = typ[np.searchsorted(members, cand)]
         queues.append(pool[cand[np.lexsort((cand, -cand_typ))]])
         positions.append(np.arange(cand.size))
@@ -388,20 +377,14 @@ def query_typiclust(
     return np.concatenate(queues)[order[:b_eff]]
 
 
-def estimate_delta(
-    features: np.ndarray,
-    num_classes: int,
-    purity_threshold: float = PROBCOVER_PURITY,
-    seed: int = 0,
-) -> float:
-    """Largest ball radius on a log grid whose pseudo-label purity clears the threshold.
+def estimate_delta(features: np.ndarray, num_classes: int, seed: int = 0) -> float:
+    """Largest ball radius on a log grid whose pseudo-label purity clears PROBCOVER_PURITY.
 
     Pseudo-labels come from kmeans(features, num_classes, seed); the grid is 64
     log-spaced radii between the 1st and 99th percentile of 2000 sampled
     pairwise distances (pairs from default_rng(seed)).
     """
-    if not 0.0 <= purity_threshold <= 1.0:
-        raise ValueError(f"purity_threshold={purity_threshold} must be in [0, 1]")
+    check_integer("num_classes", num_classes)
     X = np.asarray(features, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
@@ -423,7 +406,7 @@ def estimate_delta(
     # answers every grid value
     nearest_cross = _nearest_other_label_dist(X, pseudo)
     purity = (nearest_cross[None, :] > grid[:, None]).mean(axis=1)
-    passing = np.flatnonzero(purity >= purity_threshold)
+    passing = np.flatnonzero(purity >= PROBCOVER_PURITY)
     return float(grid[passing[-1]] if passing.size else grid[0])
 
 
@@ -592,18 +575,16 @@ _STRATEGIES = {
     "margins": _ranked,
     "bald": _ranked,
     "powerbald": lambda spec, r: query_powerbald(
-        _scores(spec, r), r.unlabeled, r.b, POWER_BETA, derive_rng(r.seed, "power")
+        _scores(spec, r), r.unlabeled, r.b, derive_rng(r.seed, "power")
     ),
     "coreset": lambda spec, r: query_coreset(r.features, r.labeled, r.unlabeled, r.b),
     "badge": lambda spec, r: query_badge(
         r.features, r.clf, r.unlabeled, r.b, derive_rng(r.seed, "badge")
     ),
     "alfamix": lambda spec, r: query_alfamix(
-        r.features, r.clf, r.labeled, r.labeled_labels, r.unlabeled, r.b, ALFAMIX_EPS_SCALE, r.seed
+        r.features, r.clf, r.labeled, r.labeled_labels, r.unlabeled, r.b, r.seed
     ),
-    "typiclust": lambda spec, r: query_typiclust(
-        r.features, r.labeled, r.unlabeled, r.b, TYPICLUST_MAX_CLUSTERS, TYPICLUST_KNN, r.seed
-    ),
+    "typiclust": lambda spec, r: query_typiclust(r.features, r.labeled, r.unlabeled, r.b, r.seed),
     "probcover": _probcover,
     "dropquery": lambda spec, r: dropquery(
         r.features, r.clf, r.unlabeled, r.b, spec.dq_m, r.seed, spec.dq_literal

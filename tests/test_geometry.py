@@ -204,6 +204,12 @@ class TestGreedyKCenter:
         with pytest.raises(ValueError):
             greedy_k_center(np.zeros((3, 1)), [0], 3)
 
+    @pytest.mark.parametrize("existing", [[], [0]])
+    def test_negative_budget_rejected(self, existing):
+        pts = np.random.default_rng(12).normal(size=(10, 3))
+        with pytest.raises(ValueError, match="b must be >= 0, got -1"):
+            greedy_k_center(pts, existing, -1)
+
     def test_no_existing_starts_farthest_from_mean(self):
         pts = np.array([[0.0], [1.0], [2.0], [50.0]])
         picks = greedy_k_center(pts, [], 2)

@@ -188,10 +188,16 @@ class TestRunAl:
 
 
 class TestRunConfig:
-    @pytest.mark.parametrize("setting", [{"budget": 0}, {"budget": -2}, {"iterations": 0}])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"budget": 0}, {"budget": -2}, {"iterations": 0},
+            {"strategy": "margins"}, {"train": {"epochs": 5}}, {"train": None},
+        ],
+    )
     def test_bad_settings_rejected_at_construction(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
-            RunConfig(strategy=QuerySpec("random"), **setting)
+            RunConfig(**{"strategy": QuerySpec("random"), **setting})
 
 
 class TestRunBench:

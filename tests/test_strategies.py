@@ -15,7 +15,7 @@ from alcove.classifier import (
     zero_classifier,
 )
 from alcove import strategies
-from alcove.geometry import kmeans, kmeanspp_seed, nearest_to_centroids
+from alcove.geometry import greedy_k_center, kmeans, kmeanspp_seed, knn, nearest_to_centroids
 from alcove.rng import derive_seed
 from alcove.strategies import (
     QuerySpec,
@@ -217,12 +217,12 @@ class TestPowerBald:
         scores = np.array([0.0, 0.0, 3.0, 0.0])
         unl = np.array([10, 11, 12, 13])
         for trial in range(20):
-            got = query_powerbald(scores, unl, 1, 1.0, np.random.default_rng(trial))
+            got = query_powerbald(scores, unl, 1, np.random.default_rng(trial))
             assert got.tolist() == [12]
 
     def test_full_budget_returns_all(self):
         unl = np.array([5, 6, 7])
-        got = query_powerbald(np.ones(3), unl, 3, 1.0, np.random.default_rng(0))
+        got = query_powerbald(np.ones(3), unl, 3, np.random.default_rng(0))
         assert sorted(got.tolist()) == [5, 6, 7]
 
     def test_empirical_ratio_three_to_one(self):
@@ -230,19 +230,15 @@ class TestPowerBald:
         unl = np.array([0, 1])
         rng = np.random.default_rng(6)
         wins = sum(
-            query_powerbald(scores, unl, 1, 1.0, rng)[0] == 0 for _ in range(10000)
+            query_powerbald(scores, unl, 1, rng)[0] == 0 for _ in range(10000)
         )
         assert abs(wins / 10000 - 0.75) < 0.02
 
-    @pytest.mark.parametrize("beta", [-3.0, -1e-9, float("nan"), float("inf")])
-    def test_beta_not_finite_and_non_negative_rejected(self, beta):
-        with pytest.raises(ValueError, match="beta"):
-            query_powerbald(np.ones(12), np.arange(12), 3, beta, np.random.default_rng(0))
-
-    def test_zero_beta_samples_uniformly(self):
+    def test_zero_beta_samples_uniformly(self, monkeypatch):
+        monkeypatch.setattr(strategies, "POWER_BETA", 0.0)
         scores = np.array([3.0, 1.0])
         rng = np.random.default_rng(6)
-        wins = sum(query_powerbald(scores, [0, 1], 1, 0.0, rng)[0] == 0 for _ in range(4000))
+        wins = sum(query_powerbald(scores, [0, 1], 1, rng)[0] == 0 for _ in range(4000))
         assert abs(wins / 4000 - 0.5) < 0.03
 
 
@@ -362,49 +358,53 @@ class TestAlfaMix:
     def test_no_anchors_raises(self):
         feats = np.zeros((4, 2))
         with pytest.raises(StrategyUnavailable):
-            query_alfamix(feats, zero_classifier(2, 2, 0.75), [], [], [0, 1, 2, 3], 2, 0.2, 0)
+            query_alfamix(feats, zero_classifier(2, 2, 0.75), [], [], [0, 1, 2, 3], 2, 0)
 
-    def test_zero_budget_gives_empty_pick(self):
+    def test_zero_budget_gives_empty_pick(self, monkeypatch):
         # the setup of test_boundary_crossing_point_is_candidate: row 0 flips
+        monkeypatch.setattr(strategies, "ALFAMIX_EPS_SCALE", 1.0)
         feats = np.array([[-0.5], [-9.0], [4.0]])
         clf = LinearClassifier(weights=np.array([[1.0], [-1.0]]), bias=np.zeros(2))
-        got = query_alfamix(feats, clf, [2], [0], [0, 1], 0, eps_scale=1.0, seed=0)
+        got = query_alfamix(feats, clf, [2], [0], [0, 1], 0, seed=0)
         assert got.dtype == np.int64 and got.tolist() == []
 
     def test_zero_weight_classifier_falls_back_to_smallest_indices(self):
         rng = np.random.default_rng(12)
         feats = rng.normal(size=(10, 3))
-        got = query_alfamix(feats, zero_classifier(2, 3, 0.75), [8, 9], [0, 1], np.arange(8), 3, 0.2, 0)
+        got = query_alfamix(feats, zero_classifier(2, 3, 0.75), [8, 9], [0, 1], np.arange(8), 3, 0)
         assert got.tolist() == [0, 1, 2]  # uniform probs: entropy ties, smallest indices
 
-    def test_eps_zero_never_flips(self):
+    def test_eps_zero_never_flips(self, monkeypatch):
+        monkeypatch.setattr(strategies, "ALFAMIX_EPS_SCALE", 0.0)
         rng = np.random.default_rng(13)
         feats = rng.normal(size=(12, 2)) * 5
         clf = random_clf(rng, 2, 2)
-        got = query_alfamix(feats, clf, [10, 11], [0, 1], np.arange(10), 3, 0.0, 0)
+        got = query_alfamix(feats, clf, [10, 11], [0, 1], np.arange(10), 3, 0)
         # no flips -> pure entropy fallback ordering
         probs = predict_proba(clf, feats[:10])
         expected = select_topb(score_entropy(probs), np.arange(10), 3)
         assert got.tolist() == expected.tolist()
 
-    def test_boundary_crossing_point_is_candidate(self):
+    def test_boundary_crossing_point_is_candidate(self, monkeypatch):
         # 1-d, 2 classes, decision boundary at z = 0; full unit step toward the
         # anchor crosses it for the point at -0.5 but not for the one at -9
+        monkeypatch.setattr(strategies, "ALFAMIX_EPS_SCALE", 1.0)
         feats = np.array([[-0.5], [-9.0], [4.0]])
         clf = LinearClassifier(weights=np.array([[1.0], [-1.0]]), bias=np.zeros(2))
         labeled, labels = [2], [0]
-        got = query_alfamix(feats, clf, labeled, labels, [0, 1], 1, eps_scale=1.0, seed=0)
+        got = query_alfamix(feats, clf, labeled, labels, [0, 1], 1, seed=0)
         assert got.tolist() == [0]
 
-    def test_partial_flip_set_pads_flips_then_entropy(self):
+    def test_partial_flip_set_pads_flips_then_entropy(self, monkeypatch):
         # 1-d, boundary at z = 0, one class-0 anchor at +4: with eps = 0.2 a
         # negative point moves to z + 0.2 * (4 - z), which crosses the boundary
         # iff z > -1. So rows 0, 2, 4 flip and B = 5 needs two more. Rows 0
         # and 2 coincide, so k-means over the flip set keeps one of them.
+        monkeypatch.setattr(strategies, "ALFAMIX_EPS_SCALE", 0.2)
         feats = np.array([[-0.5], [-9.0], [-0.5], [-3.0], [-0.6], [-2.5], [-7.0], [4.0]])
         clf = LinearClassifier(weights=np.array([[1.0], [-1.0]]), bias=np.zeros(2))
         unl, b, seed = np.arange(7), 5, 3
-        got = query_alfamix(feats, clf, [7], [0], unl, b, 0.2, seed)
+        got = query_alfamix(feats, clf, [7], [0], unl, b, seed)
 
         cands = np.array([0, 2, 4])
         cl = kmeans(feats[cands], len(cands), seed)
@@ -468,9 +468,9 @@ def test_alfamix_buffers_match_the_per_anchor_loop(name, monkeypatch):
 
     monkeypatch.undo()
     b = 7
-    got = query_alfamix(feats, clf, labeled, labels, unlabeled, b, strategies.ALFAMIX_EPS_SCALE, 3)
+    got = query_alfamix(feats, clf, labeled, labels, unlabeled, b, 3)
     monkeypatch.setattr(strategies, "_anchor_flips", alfamix_anchor_flips)
-    ref = query_alfamix(feats, clf, labeled, labels, unlabeled, b, strategies.ALFAMIX_EPS_SCALE, 3)
+    ref = query_alfamix(feats, clf, labeled, labels, unlabeled, b, 3)
     assert got.tolist() == ref.tolist()
 
 
@@ -500,21 +500,23 @@ class TestTypicality:
 
 
 class TestTypiclust:
-    def test_cold_start_two_blobs(self):
+    def test_cold_start_two_blobs(self, monkeypatch):
+        monkeypatch.setattr(strategies, "TYPICLUST_KNN", 5)
         rng = np.random.default_rng(15)
         blob_a = rng.normal(size=(12, 2)) * 0.2
         blob_b = rng.normal(size=(12, 2)) * 0.2 + 15
         feats = np.vstack([blob_a, blob_b])
-        got = query_typiclust(feats, [], np.arange(24), 2, 500, 5, seed=0)
+        got = query_typiclust(feats, [], np.arange(24), 2, seed=0)
         assert len({int(i) // 12 for i in got}) == 2
 
-    def test_replay_through_oracles(self):
+    def test_replay_through_oracles(self, monkeypatch):
         rng = np.random.default_rng(16)
         feats = rng.normal(size=(40, 3))
         labeled = [1, 7, 20]
         unlabeled = np.array([i for i in range(40) if i not in labeled])
         b, knn_k, seed = 4, 5, 3
-        got = query_typiclust(feats, labeled, unlabeled, b, 500, knn_k, seed)
+        monkeypatch.setattr(strategies, "TYPICLUST_KNN", knn_k)
+        got = query_typiclust(feats, labeled, unlabeled, b, seed)
 
         # oracle: recompute through public geometry + typicality APIs
         k = len(labeled) + b
@@ -535,13 +537,15 @@ class TestTypiclust:
             expected.append(ranked[0][0])
         assert got.tolist() == expected
 
-    def test_round_robin_over_fewer_clusters_than_picks(self):
+    def test_round_robin_over_fewer_clusters_than_picks(self, monkeypatch):
         rng = np.random.default_rng(17)
         feats = rng.normal(size=(30, 3))
         labeled = [2, 11]
         unlabeled = np.array([i for i in range(30) if i not in labeled])
         b, max_clusters, knn_k, seed = 20, 3, 4, 5
-        got = query_typiclust(feats, labeled, unlabeled, b, max_clusters, knn_k, seed)
+        monkeypatch.setattr(strategies, "TYPICLUST_MAX_CLUSTERS", max_clusters)
+        monkeypatch.setattr(strategies, "TYPICLUST_KNN", knn_k)
+        got = query_typiclust(feats, labeled, unlabeled, b, seed)
 
         # oracle: one queue per ranked cluster, densest first, popped in turn
         cl = kmeans(feats, max_clusters, seed)
@@ -562,16 +566,11 @@ class TestTypiclust:
                     expected.append(int(q.pop(0)))
         assert got.tolist() == expected
 
-    @pytest.mark.parametrize("knn_k", [0, -5])
-    def test_knn_k_below_one_rejected(self, knn_k):
-        feats = np.random.default_rng(18).normal(size=(60, 3))
-        with pytest.raises(ValueError, match="knn_k"):
-            query_typiclust(feats, [0, 1], np.arange(2, 60), 3, 500, knn_k, 0)
-
-    def test_tie_rule_size_then_id(self):
+    def test_tie_rule_size_then_id(self, monkeypatch):
         # two singleton labeled-free clusters of equal size: smaller cluster id wins
+        monkeypatch.setattr(strategies, "TYPICLUST_KNN", 1)
         feats = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
-        got = query_typiclust(feats, [], np.arange(4), 4, 500, 1, seed=0)
+        got = query_typiclust(feats, [], np.arange(4), 4, seed=0)
         assert sorted(got.tolist()) == [0, 1, 2, 3]
 
 
@@ -624,7 +623,7 @@ class TestEstimateDelta:
         blob_a = rng.normal(size=(20, 2)) * 0.1
         blob_b = rng.normal(size=(20, 2)) * 0.1 + 10
         feats = np.vstack([blob_a, blob_b])
-        delta = estimate_delta(feats, 2, purity_threshold=0.95, seed=0)
+        delta = estimate_delta(feats, 2, seed=0)
         gap = np.sqrt(((blob_a[:, None, :] - blob_b[None, :, :]) ** 2).sum(-1)).min()
         assert 0 < delta < gap
 
@@ -649,25 +648,20 @@ class TestEstimateDelta:
                 best = cand
         assert delta == pytest.approx(best)
 
-    def test_zero_threshold_returns_grid_max(self):
+    def test_zero_threshold_returns_grid_max(self, monkeypatch):
         rng = np.random.default_rng(21)
         feats = rng.normal(size=(30, 2))
-        d_all = estimate_delta(feats, 3, purity_threshold=0.0, seed=1)
-        d_strict = estimate_delta(feats, 3, purity_threshold=1.0, seed=1)
+        monkeypatch.setattr(strategies, "PROBCOVER_PURITY", 0.0)
+        d_all = estimate_delta(feats, 3, seed=1)
+        monkeypatch.setattr(strategies, "PROBCOVER_PURITY", 1.0)
+        d_strict = estimate_delta(feats, 3, seed=1)
         assert d_all > d_strict  # threshold 0 accepts the largest grid value
 
-    @pytest.mark.parametrize("threshold", [7.0, 1.01, -1.0, -0.01, float("nan")])
-    def test_threshold_outside_unit_interval_rejected(self, threshold):
-        feats = np.random.default_rng(23).normal(size=(60, 3))
-        with pytest.raises(ValueError, match="purity_threshold"):
-            estimate_delta(feats, 3, purity_threshold=threshold)
-
-    def test_single_cluster_data_returns_grid_max(self):
+    def test_single_cluster_data_returns_grid_max(self, monkeypatch):
+        monkeypatch.setattr(strategies, "PROBCOVER_PURITY", 0.0)
         rng = np.random.default_rng(22)
         feats = rng.normal(size=(30, 2))
-        assert estimate_delta(feats, 2, purity_threshold=0.0, seed=2) == estimate_delta(
-            feats, 2, purity_threshold=0.0, seed=2
-        )
+        assert estimate_delta(feats, 2, seed=2) == estimate_delta(feats, 2, seed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -818,13 +812,13 @@ STANDALONE_QUERIES = {
     "select_topb": lambda X, clf, lab, unl, b: select_topb(np.ones(len(unl)), unl, b),
     "diversify": lambda X, clf, lab, unl, b: diversify(np.ones(len(unl)), X, unl, b, seed=1),
     "powerbald": lambda X, clf, lab, unl, b: query_powerbald(
-        np.ones(len(unl)), unl, b, 1.0, np.random.default_rng(1)
+        np.ones(len(unl)), unl, b, np.random.default_rng(1)
     ),
     "coreset": lambda X, clf, lab, unl, b: query_coreset(X, lab, unl, b),
     "coreset_unseeded": lambda X, clf, lab, unl, b: query_coreset(X, [], unl, b),
     "badge": lambda X, clf, lab, unl, b: query_badge(X, clf, unl, b, np.random.default_rng(1)),
-    "alfamix": lambda X, clf, lab, unl, b: query_alfamix(X, clf, lab, lab, unl, b, 0.2, seed=1),
-    "typiclust": lambda X, clf, lab, unl, b: query_typiclust(X, lab, unl, b, 500, 20, seed=1),
+    "alfamix": lambda X, clf, lab, unl, b: query_alfamix(X, clf, lab, lab, unl, b, seed=1),
+    "typiclust": lambda X, clf, lab, unl, b: query_typiclust(X, lab, unl, b, seed=1),
     "probcover": lambda X, clf, lab, unl, b: query_probcover(X, lab, unl, b, delta=1.0),
     "dropquery": lambda X, clf, lab, unl, b: dropquery(X, clf, unl, b, seed=1).selected,
 }
@@ -1024,6 +1018,30 @@ def test_standalone_query_rejects_a_non_integral_budget(name):
         with pytest.raises(ValueError, match=f"b must be an integer, got {b!r}"):
             call(feats, clf, np.array([0, 1, 2]), np.arange(3, 20), b)
     assert len(call(feats, clf, np.array([0, 1, 2]), np.arange(3, 20), np.int64(4))) == 4
+
+
+# kernel -> (the name of its count argument, fn(features, clf, count) calling it)
+COUNTED_KERNELS = {
+    "greedy_k_center": ("b", lambda X, clf, n: greedy_k_center(X, [], n)),
+    "knn": ("k", lambda X, clf, n: knn(X, n)),
+    "kmeanspp_seed": ("k", lambda X, clf, n: kmeanspp_seed(X, n, np.random.default_rng(0))),
+    "kmeans": ("k", lambda X, clf, n: kmeans(X, n, 0).assignments),
+    "mc_dropout_passes": ("samples", lambda X, clf, n: list(mc_dropout_passes(clf, X, n, 0))),
+    "dropquery": ("samples", lambda X, clf, n: dropquery(X, clf, np.arange(20), 3, m=n).selected),
+    "estimate_delta": ("num_classes", lambda X, clf, n: estimate_delta(X, n)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(COUNTED_KERNELS))
+def test_kernel_rejects_a_non_integral_count(kernel):
+    rng = np.random.default_rng(35)
+    feats = rng.normal(size=(20, 3))
+    clf = LinearClassifier(rng.normal(size=(3, 3)), rng.normal(size=3), dropout_rho=0.5)
+    name, call = COUNTED_KERNELS[kernel]
+    for count in (2.5, True):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {count!r}"):
+            call(feats, clf, count)
+    assert np.array_equal(call(feats, clf, np.int64(2)), call(feats, clf, 2))
 
 
 @pytest.mark.parametrize("dq_m", [2.5, True])
